@@ -9,7 +9,7 @@ roots are exactly the symmetric matrices of determinant -1.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import criteria, weyl
+from . import criteria
 from .gcm import make_parabolic, pair_with_coroot, validate_gcm
 
 FF_MATRIX = ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
@@ -141,32 +141,22 @@ def phi_v_membership_ff(v, s):
 
 
 def verify_lemma55(max_length):
-    """Scan all nontrivial w with l(w) <= max_length, all simple i with
-    w^-1(alpha_i) > 0 and all alpha in Phi_{w^-1} for positive values of
-    <alpha_i, alpha^vee>; the exceptional (i, alpha) pairs are expected to
-    be exactly (2, beta1), (2, beta2), (3, beta1), (3, beta3), each with
-    value 1."""
-    spec = ff_cartan_spec()
-    layers = weyl.enumerate_by_length(spec, max_length)
+    """Group the witnesses of ``check_prop51`` (all of them, up to
+    max_length) by (i, alpha): the positive values of <alpha_i, alpha^vee>
+    over nontrivial w, simple i with w^-1(alpha_i) > 0 and alpha in
+    Phi_{w^-1}.  The exceptional (i, alpha) pairs are expected to be exactly
+    (2, beta1), (2, beta2), (3, beta1), (3, beta3), each with value 1."""
+    report = criteria.check_prop51(
+        ff_cartan_spec(), max_length, all_witnesses=True
+    )
     found = {}
-    for layer in layers[1:]:
-        for w in layer:
-            ascents = [
-                i for i in (1, 2, 3)
-                if weyl.is_positive_vec(tuple(w.inverse[r][i - 1] for r in range(3)))
-            ]
-            if not ascents:
-                continue
-            for alpha in weyl.inversion_set_of_inverse(spec, w):
-                for i in ascents:
-                    p = pair_with_coroot(spec, spec.simple_root(i), alpha)
-                    if p > 0:
-                        key = (i, tuple(int(x) for x in alpha))
-                        entry = found.setdefault(
-                            key, {"value": p, "first_word": list(w.word)}
-                        )
-                        if entry["value"] != p:
-                            entry["consistent"] = False
+    for witness in report.witnesses:
+        found.setdefault((witness["simple_index"], tuple(witness["root"])), {
+            "value": Fraction(
+                witness["pairing"]["num"], witness["pairing"]["den"]
+            ),
+            "first_word": witness["word"],
+        })
     expected = {(2, BETA1), (2, BETA2), (3, BETA1), (3, BETA3)}
     pairs = set(found)
     return {
@@ -185,7 +175,7 @@ def verify_lemma55(max_length):
         "unexpected": [list(r) + [i] for i, r in sorted(pairs - expected)],
         "all_values_one": all(e["value"] == 1 for e in found.values()),
         "no_index_one": all(i != 1 for i, _ in pairs),
-        "elements_enumerated": sum(len(l) for l in layers),
+        "elements_enumerated": report.stats["elements_enumerated"],
     }
 
 

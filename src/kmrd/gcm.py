@@ -132,6 +132,9 @@ def validate_gcm(matrix, name=None, labels=None):
     Rejects singular matrices and matrices of finite type (the toolkit
     only deals with infinite-dimensional algebras).
     """
+    if not (isinstance(matrix, (list, tuple)) and matrix
+            and all(isinstance(row, (list, tuple)) for row in matrix)):
+        raise NotGCM("matrix must be a non-empty list of rows")
     matrix = tuple(tuple(row) for row in matrix)
     _check_gcm_axioms(matrix)
     d, gram = _symmetrizer(matrix)

@@ -6,6 +6,7 @@ matrix order so that reruns (at any worker count) produce byte-identical
 output.  Timings never enter the record body.
 """
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -13,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
-from . import criteria
+from . import criteria, weyl
 from .gcm import (
     FiniteType,
     NotSymmetrizable,
@@ -66,6 +67,15 @@ def enumerate_family(spec: SurveySpec):
     infinite-type GCMs matching the survey spec."""
     n = spec.rank
     pairs = list(itertools.combinations(range(n), 2))
+    k = -spec.entry_min
+    candidates = (1 + (k if spec.symmetric_only else k * k)) ** len(pairs)
+    cap = weyl.element_cap()
+    if candidates > cap:
+        raise weyl.CapExceeded(
+            f"survey family has {candidates} candidate matrices, "
+            f"over the cap {cap}",
+            {"candidate_matrices": candidates},
+        )
     seen = set()
     out = []
     for choice in itertools.product(
@@ -128,8 +138,18 @@ def _read_checkpoint(out_path, digest):
 
 
 def _write_checkpoint(out_path, digest, completed):
-    with open(_checkpoint_path(out_path), "w", encoding="utf-8") as fh:
-        json.dump({"spec_hash": digest, "completed": completed}, fh)
+    """Write a temp file beside the checkpoint, then rename it over the
+    checkpoint, so a crash never leaves a half-written checkpoint."""
+    path = _checkpoint_path(out_path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"spec_hash": digest, "completed": completed}, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):

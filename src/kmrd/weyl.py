@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 
 from . import linalg
-from .gcm import GCMError, bilinear_form, pair_with_coroot
+from .gcm import GCMError, bilinear_form
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -239,10 +239,3 @@ def positive_real_roots_up_to_height(spec, max_height, max_roots=None):
             out.append(u)
     return sorted(out, key=lambda r: (sum(r), r))
 
-
-def coroot_pairing_checks(spec, w, lam):
-    """<lam, alpha^vee> for every alpha in Phi_{w^-1} (helper for the checkers)."""
-    return [
-        (alpha, pair_with_coroot(spec, lam, alpha))
-        for alpha in inversion_set_of_inverse(spec, w)
-    ]

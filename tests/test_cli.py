@@ -27,10 +27,11 @@ def test_validate_missing_file(capsys):
 
 def test_validate_bad_matrix(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"matrix": [[2, -1], [-1, 2]]}))
-    code, _, err = run_cli(capsys, "validate", str(bad))
-    assert code == 2
-    assert "error:" in err
+    for matrix in ([[2, -1], [-1, 2]], [], 5, [1, 2]):
+        bad.write_text(json.dumps({"matrix": matrix}))
+        code, _, err = run_cli(capsys, "validate", str(bad))
+        assert code == 2, matrix
+        assert "error:" in err
 
 
 def test_validate_malformed_json(capsys, tmp_path):
@@ -192,6 +193,17 @@ def test_survey_command(capsys, tmp_path):
     assert code == 0
     assert "survey complete" in err
     assert out_path.exists()
+
+
+def test_survey_family_over_cap(capsys, tmp_path):
+    out_path = tmp_path / "survey.jsonl"
+    code, _, err = run_cli(
+        capsys, "survey", "--rank", "5", "--entry-min", "-5",
+        "--max-length", "2", "--out", str(out_path),
+    )
+    assert code == 3
+    assert str(26 ** 10) in err
+    assert not out_path.exists()
 
 
 def test_version(capsys):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kmrd import validate_gcm
+from kmrd import CapExceeded, validate_gcm
 from kmrd.survey import (
     SurveySpec,
     canonical_matrix,
@@ -61,6 +61,26 @@ def test_enumerate_family_symmetric_only():
         assert matrix[0][1] == matrix[1][0]
     # symmetric rank-2 infinite nonsingular: entries -3, -4 (-2 is singular)
     assert [m[0][1] for m, _ in family] == [-4, -3]
+
+
+def test_family_over_cap_refused_at_once():
+    with pytest.raises(CapExceeded) as info:
+        enumerate_family(SurveySpec(rank=5, entry_min=-5, max_length=2))
+    assert info.value.stats == {"candidate_matrices": 26 ** 10}
+    with pytest.raises(CapExceeded) as info:
+        enumerate_family(
+            SurveySpec(rank=5, entry_min=-5, max_length=2, symmetric_only=True)
+        )
+    assert info.value.stats == {"candidate_matrices": 6 ** 10}
+
+
+def test_family_cap_boundary(monkeypatch):
+    spec = SurveySpec(rank=2, entry_min=-3, max_length=6)  # 1 + 3*3 candidates
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "10")
+    assert enumerate_family(spec)
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "9")
+    with pytest.raises(CapExceeded):
+        enumerate_family(spec)
 
 
 def test_run_survey_writes_records(tmp_path):
@@ -132,3 +152,27 @@ def test_parallel_matches_serial(tmp_path):
     run_survey(spec, str(serial), jobs=1)
     run_survey(spec, str(parallel), jobs=2)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    out = tmp_path / "records.jsonl"
+    spec = SurveySpec(rank=2, entry_min=-3, max_length=6)
+    real_dump = json.dump
+    writes = []
+
+    def dump_then_fail(obj, fh, **kwargs):
+        writes.append(obj)
+        if len(writes) == 3:
+            fh.write(json.dumps(obj)[:10])
+            raise OSError("disk full")
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        run_survey(spec, str(out))
+    monkeypatch.undo()
+    checkpoint = json.loads((tmp_path / "records.jsonl.checkpoint").read_text())
+    assert checkpoint == {"spec_hash": spec.digest(), "completed": 2}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "records.jsonl", "records.jsonl.checkpoint",
+    ]
