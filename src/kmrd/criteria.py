@@ -7,6 +7,7 @@ infinite group.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,6 +17,7 @@ from .gcm import (
     GCMError,
     NoAdmissibleD,
     NotMaximal,
+    NullNorm,
     make_parabolic,
     matrix_hash,
     pair_with_coroot,
@@ -80,31 +82,25 @@ def _require_maximal(spec, theta):
     return theta
 
 
-def _scan(check, spec, theta, max_length, all_witnesses, visit, counts):
+def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
+          elements=None):
     """The bounded scan every decider runs.
 
-    Calls the generator ``visit(w)`` on each nontrivial element of length
-    <= max_length in ShortLex order, only on W^theta when theta is given,
-    and collects the witnesses it yields, stopping at the first one unless
+    Calls the generator ``visit`` on each of ``elements`` in order, by
+    default the nontrivial WeylElem of length <= max_length in ShortLex
+    order (the theta deciders pass the nodes of ``_coset_walk``), and
+    collects the witnesses it yields, stopping at the first one unless
     all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
-    follow ``elements_enumerated`` (and ``coset_reps``) in ``stats``.
+    follow ``elements_enumerated`` in ``stats``.
     """
     start = time.monotonic()
     layers = weyl.enumerate_by_length(spec, max_length)
     stats = {"elements_enumerated": sum(len(l) for l in layers)}
-    if theta is not None:
-        stats["coset_reps"] = 0
+    if elements is None:
+        elements = (w for layer in layers[1:] for w in layer)
+    del layers  # a walk needs only the count
 
-    def elements():
-        for layer in layers[1:]:
-            for w in layer:
-                if theta is None:
-                    yield w
-                elif weyl.in_min_coset_reps(spec, w, theta):
-                    stats["coset_reps"] += 1
-                    yield w
-
-    found = (witness for w in elements() for witness in visit(w))
+    found = (witness for w in elements for witness in visit(w))
     witnesses = list(found if all_witnesses else itertools.islice(found, 1))
     stats.update(counts)
     return CheckReport(
@@ -121,47 +117,125 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts):
     )
 
 
+def _scaled_weight_coords(spec, vectors):
+    """The weight coordinates <v, alpha_i^vee> = (A v)_i, i = 1..n, of
+    root-coordinate vectors, all multiplied by the least positive integer
+    that makes them integers.  Returns (scale, tuples of ints)."""
+    coords = [
+        [Fraction(sum(a * x for a, x in zip(row, v))) for row in spec.matrix]
+        for v in vectors
+    ]
+    scale = math.lcm(*(x.denominator for c in coords for x in c))
+    return scale, [tuple(int(x * scale) for x in c) for c in coords]
+
+
+def _coset_walk(spec, max_length, start):
+    """The nontrivial w in W^theta of length <= max_length, in ShortLex
+    order, as nodes (word, vecs), where vecs[k] = w^-1 start[k] in integer
+    weight coordinates and start[0] is (a positive multiple of) omega_P.
+
+    The stabiliser of omega_P is W_theta for maximal theta, so w -> w^-1
+    omega_P is one-to-one on W^theta.  With tau = w^-1 omega_P, w s_i is a
+    longer element of W^theta exactly when tau_i > 0; children are
+    deduplicated by tau.  The one new inversion root w(alpha_i) of w s_i
+    has <lambda, w(alpha_i)^vee> = (w^-1 lambda)_i, which for
+    lambda = start[k] is -vecs[k][i-1] of the child node.
+    """
+    n = spec.rank
+    # weight coordinates of alpha_i: column i of A
+    columns = [tuple(row[i] for row in spec.matrix) for i in range(n)]
+
+    def reflect(v, i):
+        c = v[i]
+        return v if c == 0 else tuple(x - c * a for x, a in zip(v, columns[i]))
+
+    layer = [((), tuple(start))]
+    for _ in range(max_length):
+        children = {}
+        for word, vecs in layer:
+            tau = vecs[0]
+            for i in range(n):
+                if tau[i] > 0:
+                    child = reflect(tau, i)
+                    if child not in children:
+                        children[child] = (
+                            word + (i + 1,),
+                            (child,) + tuple(reflect(v, i) for v in vecs[1:]),
+                        )
+        if not children:
+            return
+        layer = list(children.values())
+        yield from layer
+
+
 def check_rd(spec, theta, max_length, all_witnesses=False):
     """Decide Property RD up to the length bound via the strict-negativity
     criterion: <rho_M, alpha^vee> < 0 for every nontrivial w in W^theta
-    and alpha in Phi_{w^-1}."""
+    and alpha in Phi_{w^-1}.
+
+    Runs on the orbit walk: the inversion roots of w^-1 are the roots its
+    word prefixes add, each checked once at the prefix that adds it, with
+    both pairings read off the scaled integer weight coordinates."""
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
-    counts = {"roots_checked": 0}
-    d_sup = None
+    scale, start = _scaled_weight_coords(spec, (par.omega_P, par.rho_M))
+    counts = {"coset_reps": 0, "roots_checked": 0}
+    least = None  # (num, den) of the least ratio -rho/omega so far
+    # word -> the failing inversion roots of w^-1, inherited by extensions
+    failing = {}
 
-    def visit(w):
-        nonlocal d_sup
-        for alpha in weyl.inversion_set_of_inverse(spec, w):
-            counts["roots_checked"] += 1
-            rho_pair = pair_with_coroot(spec, par.rho_M, alpha)
-            omega_pair = pair_with_coroot(spec, par.omega_P, alpha)
-            if omega_pair <= 0:
-                raise GCMError(
-                    "internal invariant violated: <omega_P, alpha^vee> <= 0 "
-                    "on W^theta inversion set"
-                )
-            if rho_pair >= 0:
-                yield {
-                    "word": list(w.word),
-                    "root": [int(x) for x in alpha],
-                    "rho_M_pairing": _frac(rho_pair),
-                    "omega_P_pairing": _frac(omega_pair),
-                }
-            else:
-                ratio = -rho_pair / omega_pair
-                if d_sup is None or ratio < d_sup:
-                    d_sup = ratio
+    def replay(word, rho, omega):
+        """Root coordinates of the root the word's last letter adds, with
+        its pairings recomputed from them and checked against the walk."""
+        root = weyl.inversion_set_of_word(spec, word[::-1])[-1]
+        pairs = (
+            pair_with_coroot(spec, par.rho_M, root),
+            pair_with_coroot(spec, par.omega_P, root),
+        )
+        if pairs != (Fraction(rho, scale), Fraction(omega, scale)):
+            raise GCMError(
+                f"internal invariant violated: pairings of the root {root} "
+                f"of word {word} disagree with the orbit walk"
+            )
+        return root, pairs
 
-    report = _scan("rd", spec, theta, max_length, all_witnesses, visit, counts)
-    if not report.failed:
-        report.d_sup = d_sup
+    def visit(node):
+        nonlocal least
+        word, (tau, sigma) = node
+        i = word[-1] - 1
+        omega, rho = -tau[i], -sigma[i]
+        counts["coset_reps"] += 1
+        # Every earlier root was checked at a prefix: had one failed, the
+        # scan would have stopped there or inherited it below.
+        counts["roots_checked"] += len(word)
+        bad = failing.get(word[:-1], ())
+        if rho >= 0:
+            bad += (replay(word, rho, omega),)
+        elif least is None or -rho * least[1] < least[0] * omega:
+            least = (-rho, omega)
+        if bad:
+            failing[word] = bad
+        for root, (rho_pair, omega_pair) in bad:
+            yield {
+                "word": list(word),
+                "root": list(root),
+                "rho_M_pairing": _frac(rho_pair),
+                "omega_P_pairing": _frac(omega_pair),
+            }
+
+    report = _scan(
+        "rd", spec, theta, max_length, all_witnesses, visit, counts,
+        _coset_walk(spec, max_length, start),
+    )
+    if not report.failed and least is not None:
+        report.d_sup = Fraction(*least)
     return report
 
 
 def check_prop51(spec, max_length, all_witnesses=False):
     """Sufficient condition: <alpha_i, alpha^vee> <= 0 for every w, every
     alpha in Phi_{w^-1} and every simple i with w^-1(alpha_i) > 0."""
+    d = spec.symmetrizer
     counts = {"roots_checked": 0}
 
     def visit(w):
@@ -175,14 +249,23 @@ def check_prop51(spec, max_length, all_witnesses=False):
             return
         for alpha in weyl.inversion_set_of_inverse(spec, w):
             counts["roots_checked"] += 1
+            # (A alpha)_i = <alpha, alpha_i^vee>; (alpha_i|alpha) = d_i (A alpha)_i
+            a_alpha = [
+                sum(a * x for a, x in zip(row, alpha)) for row in spec.matrix
+            ]
+            norm = sum(di * x * y for di, x, y in zip(d, alpha, a_alpha))
+            if norm <= 0:
+                raise NullNorm(f"(alpha|alpha) = {norm} <= 0")
             for i in ascents:
-                p = pair_with_coroot(spec, spec.simple_root(i), alpha)
-                if p > 0:
+                # <alpha_i, alpha^vee> = 2 d_i (A alpha)_i / (alpha|alpha)
+                if a_alpha[i - 1] > 0:
                     yield {
                         "word": list(w.word),
                         "root": [int(x) for x in alpha],
                         "simple_index": i,
-                        "pairing": _frac(p),
+                        "pairing": _frac(
+                            Fraction(2 * d[i - 1] * a_alpha[i - 1], norm)
+                        ),
                     }
 
     return _scan("prop51", spec, None, max_length, all_witnesses, visit, counts)
@@ -208,7 +291,11 @@ def admissible_d(par):
 def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     """With a small admissible D, w^-1(D omega_P + rho_M) should be a
     nonnegative (and generically strictly positive) combination of simple
-    roots for every nontrivial w in W^theta."""
+    roots for every nontrivial w in W^theta.
+
+    Runs on the orbit walk, which carries the image in scaled integer
+    weight coordinates; A^-1, scaled to integers, maps it to root
+    coordinates."""
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
     if D is None:
@@ -216,23 +303,30 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     vec = tuple(
         D * n + m for n, m in zip(par.omega_P, par.rho_M)
     )
+    scale, start = _scaled_weight_coords(spec, (par.omega_P, vec))
+    # A^-1 = inverse / q with an integer matrix inverse
+    q = math.lcm(*(x.denominator for row in spec.inverse for x in row))
+    inverse = [[int(x * q) for x in row] for row in spec.inverse]
+    counts = {"coset_reps": 0}
     first_non_strict = None
 
-    def visit(w):
-        nonlocal first_non_strict
-        image = [
-            sum(w.inverse[r][c] * vec[c] for c in range(spec.rank))
-            for r in range(spec.rank)
-        ]
-        if any(x < 0 for x in image) or all(x == 0 for x in image):
-            yield {"word": list(w.word), "image": [_frac(x) for x in image]}
-        elif any(x == 0 for x in image) and first_non_strict is None:
-            first_non_strict = {
-                "word": list(w.word),
-                "image": [_frac(x) for x in image],
-            }
+    def exact(image):
+        return [_frac(Fraction(x, q * scale)) for x in image]
 
-    report = _scan("lemma44", spec, theta, max_length, all_witnesses, visit, {})
+    def visit(node):
+        nonlocal first_non_strict
+        word, (_, mu) = node
+        counts["coset_reps"] += 1
+        image = [sum(a * x for a, x in zip(row, mu)) for row in inverse]
+        if any(x < 0 for x in image) or all(x == 0 for x in image):
+            yield {"word": list(word), "image": exact(image)}
+        elif any(x == 0 for x in image) and first_non_strict is None:
+            first_non_strict = {"word": list(word), "image": exact(image)}
+
+    report = _scan(
+        "lemma44", spec, theta, max_length, all_witnesses, visit, counts,
+        _coset_walk(spec, max_length, start),
+    )
     report.extra = {
         "D": _frac(D),
         "strict_everywhere": first_non_strict is None,

@@ -11,15 +11,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 

@@ -152,6 +152,24 @@ def _write_checkpoint(out_path, digest, completed):
         raise
 
 
+def _truncate_records(out_path, completed):
+    """Cut the records file back to the ``completed`` lines its checkpoint
+    counts.  Each record is written before its checkpoint, so a crash
+    between the two leaves extra lines; fewer lines is an error."""
+    with open(out_path, "r+b") as fh:
+        lines = keep = 0
+        for line in fh:
+            lines += 1
+            if lines <= completed:
+                keep += len(line)
+        if lines < completed:
+            raise ValueError(
+                f"checkpoint says {completed} records but {out_path} has "
+                f"only {lines} lines"
+            )
+        fh.truncate(keep)
+
+
 def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     """Stream survey records to out_path (JSONL).  Items are processed in
     canonical order, so output is deterministic for any job count; with
@@ -165,12 +183,7 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     skip = 0
     if resume:
         skip = _read_checkpoint(out_path, digest)
-        with open(out_path, encoding="utf-8") as fh:
-            lines = sum(1 for _ in fh)
-        if lines != skip:
-            raise ValueError(
-                f"checkpoint says {skip} records but {out_path} has {lines} lines"
-            )
+        _truncate_records(out_path, skip)
     pending = items[skip:]
     mode = "a" if resume else "w"
     completed = skip

@@ -5,6 +5,7 @@ import pytest
 from kmrd import (
     FAILED,
     HOLDS,
+    GCMError,
     NotMaximal,
     check_lemma44,
     check_prop51,
@@ -13,6 +14,7 @@ from kmrd import (
     make_parabolic,
     report_to_dict,
 )
+from kmrd import weyl
 from kmrd.criteria import admissible_d
 from kmrd.gcm import matrix_hash
 
@@ -47,6 +49,16 @@ def test_rd_ff_both_parabolics_hold(ff_spec):
 def test_rd_requires_maximal_theta(ff_spec):
     with pytest.raises(NotMaximal):
         check_rd(ff_spec, (3,), 4)
+
+
+def test_rd_witness_replay_must_agree_with_walk(rank7_spec, monkeypatch):
+    # The witness root is replayed from its word; a root whose pairings
+    # differ from the walk's is an internal error, not a witness.
+    monkeypatch.setattr(
+        weyl, "inversion_set_of_word", lambda spec, word: ((1, 0, 0, 0, 0, 0, 0),)
+    )
+    with pytest.raises(GCMError, match="disagree with the orbit walk"):
+        check_rd(rank7_spec, tuple(range(1, 7)), 6)
 
 
 def test_rd_early_stop_vs_all_witnesses(rank7_spec):

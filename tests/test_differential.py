@@ -4,7 +4,9 @@ the same report as the straightforward loops in ``reference_criteria``
 wherever the reference raises."""
 
 import itertools
+import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_criteria as ref
@@ -86,3 +88,68 @@ def test_deciders_match_reference_on_rank7(rank7_spec):
 
 def test_lemma_scan_matches_reference():
     assert ff.verify_lemma55(10) == ref.verify_lemma55(10)
+
+
+# The orbit walk behind check_rd and check_lemma44, at larger bounds and on
+# labellings and matrices the tests above do not reach.
+
+RANK7_THETA = (1, 2, 3, 4, 5, 6)
+
+
+def assert_same_theta_reports(spec, theta, max_length, names, all_witnesses):
+    for name in names:
+        args = (spec, theta, max_length)
+        kwargs = {"all_witnesses": all_witnesses}
+        assert outcome(getattr(criteria, name), *args, **kwargs) == \
+            outcome(getattr(ref, name), *args, **kwargs), (name, theta)
+
+
+def test_walk_matches_reference_on_ff_at_length_14(ff_spec):
+    for theta in ((2, 3), (1, 3)):
+        assert_same_theta_reports(
+            ff_spec, theta, 14, ("check_rd", "check_lemma44"), False
+        )
+
+
+def test_walk_keeps_repeated_witnesses_on_rank7(rank7_spec):
+    # Every element whose inversion set holds a failing root reports it
+    # again, so 16 entries name only 4 distinct roots.
+    args = (rank7_spec, RANK7_THETA, 8)
+    report = outcome(criteria.check_rd, *args, all_witnesses=True)
+    assert len(report["witnesses"]) == 16
+    assert len({tuple(w["root"]) for w in report["witnesses"]}) == 4
+    assert report == outcome(ref.check_rd, *args, all_witnesses=True)
+
+
+def test_walk_matches_reference_on_relabelled_rank7(rank7_spec):
+    # A seeded simultaneous row/column permutation changes the ShortLex
+    # order, and with it the first witness and the scan counts; the
+    # shortest failing element still has length 6.
+    n = rank7_spec.rank
+    perm = list(range(n))  # new node k is old node perm[k]
+    random.Random(3).shuffle(perm)
+    matrix = rank7_spec.matrix
+    spec = validate_gcm(
+        [[matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    )
+    theta = tuple(k + 1 for k in range(n) if perm[k] + 1 in RANK7_THETA)
+    assert_same_theta_reports(
+        spec, theta, 6, ("check_rd", "check_lemma44"), False
+    )
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2, -3, -3], [-1, 2, 0], [-1, 0, 2]],
+    [[2, -1, -1], [-2, 2, -2], [-2, -2, 2]],
+    [[2, 0, -2, 0], [0, 2, -2, 0], [-1, -1, 2, -1], [0, 0, -1, 2]],
+    [[2, 0, -1, -1], [0, 2, 0, -2], [-4, 0, 2, 0], [-1, -1, 0, 2]],
+])
+def test_walk_matches_reference_on_non_symmetric_gcms(matrix):
+    spec = validate_gcm(matrix)
+    assert spec.symmetrizer != (1,) * spec.rank
+    for theta in maximal_thetas(spec):
+        # lemma44 holds on all of these, so all_witnesses changes nothing
+        assert_same_theta_reports(
+            spec, theta, 7, ("check_rd", "check_lemma44"), False
+        )
+        assert_same_theta_reports(spec, theta, 7, ("check_rd",), True)

@@ -176,3 +176,29 @@ def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "records.jsonl", "records.jsonl.checkpoint",
     ]
+
+
+def test_resume_after_crash_truncates_to_checkpoint(tmp_path, monkeypatch):
+    # The third record is written but its checkpoint write fails, so the
+    # records file is one line longer than the checkpoint count.
+    spec = SurveySpec(rank=2, entry_min=-3, max_length=6)
+    full = tmp_path / "full.jsonl"
+    run_survey(spec, str(full))
+    out = tmp_path / "records.jsonl"
+    real_dump = json.dump
+    writes = []
+
+    def dump_then_fail(obj, fh, **kwargs):
+        writes.append(obj)
+        if len(writes) == 3:
+            raise OSError("disk full")
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        run_survey(spec, str(out))
+    monkeypatch.undo()
+    assert len(out.read_text().splitlines()) == 3
+    completed = run_survey(spec, str(out), resume=True)
+    assert completed == len(full.read_text().splitlines())
+    assert out.read_bytes() == full.read_bytes()

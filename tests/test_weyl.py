@@ -12,13 +12,20 @@ from kmrd import (
     reflect_simple,
     word_to_element,
 )
-from kmrd.linalg import identity, mat_mul
+from kmrd.linalg import identity
 from kmrd.weyl import (
     in_min_coset_reps,
     inversion_set_of_word,
     is_positive_vec,
     simple_reflection_matrix,
 )
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+        for row in a
+    )
 
 
 def test_layer_sizes_ff(ff_spec):
