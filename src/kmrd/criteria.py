@@ -83,22 +83,28 @@ def _require_maximal(spec, theta):
 
 
 def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
-          elements=None):
+          start=None):
     """The bounded scan every decider runs.
 
-    Calls the generator ``visit`` on each of ``elements`` in order, by
-    default the nontrivial WeylElem of length <= max_length in ShortLex
-    order (the theta deciders pass the nodes of ``_coset_walk``), and
-    collects the witnesses it yields, stopping at the first one unless
-    all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
-    follow ``elements_enumerated`` in ``stats``.
+    Calls the generator ``visit`` on each nontrivial element of length
+    <= max_length in ShortLex order, and collects the witnesses it yields,
+    stopping at the first one unless all_witnesses.  The elements are the
+    WeylElem of the Weyl ball by default; given ``start``, they are the
+    nodes of ``weyl.orbit_walk`` from start (the theta deciders walk
+    W^theta).  ``visit`` keeps its own counters in ``counts``; they follow
+    ``elements_enumerated``, the size of the ball, in ``stats``.
     """
-    start = time.monotonic()
-    layers = weyl.enumerate_by_length(spec, max_length)
-    stats = {"elements_enumerated": sum(len(l) for l in layers)}
-    if elements is None:
+    t0 = time.monotonic()
+    if start is None:
+        layers = weyl.enumerate_by_length(spec, max_length)
+        stats = {"elements_enumerated": sum(len(l) for l in layers)}
         elements = (w for layer in layers[1:] for w in layer)
-    del layers  # a walk needs only the count
+    else:
+        stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
+        elements = (
+            node for layer in weyl.orbit_walk(spec, max_length, start)
+            for node in layer
+        )
 
     found = (witness for w in elements for witness in visit(w))
     witnesses = list(found if all_witnesses else itertools.islice(found, 1))
@@ -113,7 +119,7 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
         witnesses=witnesses,
         d_sup=None,
         stats=stats,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
+        wall_time_ms=int((time.monotonic() - t0) * 1000),
     )
 
 
@@ -127,45 +133,6 @@ def _scaled_weight_coords(spec, vectors):
     ]
     scale = math.lcm(*(x.denominator for c in coords for x in c))
     return scale, [tuple(int(x * scale) for x in c) for c in coords]
-
-
-def _coset_walk(spec, max_length, start):
-    """The nontrivial w in W^theta of length <= max_length, in ShortLex
-    order, as nodes (word, vecs), where vecs[k] = w^-1 start[k] in integer
-    weight coordinates and start[0] is (a positive multiple of) omega_P.
-
-    The stabiliser of omega_P is W_theta for maximal theta, so w -> w^-1
-    omega_P is one-to-one on W^theta.  With tau = w^-1 omega_P, w s_i is a
-    longer element of W^theta exactly when tau_i > 0; children are
-    deduplicated by tau.  The one new inversion root w(alpha_i) of w s_i
-    has <lambda, w(alpha_i)^vee> = (w^-1 lambda)_i, which for
-    lambda = start[k] is -vecs[k][i-1] of the child node.
-    """
-    n = spec.rank
-    # weight coordinates of alpha_i: column i of A
-    columns = [tuple(row[i] for row in spec.matrix) for i in range(n)]
-
-    def reflect(v, i):
-        c = v[i]
-        return v if c == 0 else tuple(x - c * a for x, a in zip(v, columns[i]))
-
-    layer = [((), tuple(start))]
-    for _ in range(max_length):
-        children = {}
-        for word, vecs in layer:
-            tau = vecs[0]
-            for i in range(n):
-                if tau[i] > 0:
-                    child = reflect(tau, i)
-                    if child not in children:
-                        children[child] = (
-                            word + (i + 1,),
-                            (child,) + tuple(reflect(v, i) for v in vecs[1:]),
-                        )
-        if not children:
-            return
-        layer = list(children.values())
-        yield from layer
 
 
 def check_rd(spec, theta, max_length, all_witnesses=False):
@@ -201,7 +168,7 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
 
     def visit(node):
         nonlocal least
-        word, (tau, sigma) = node
+        word, (tau, sigma), _ = node
         i = word[-1] - 1
         omega, rho = -tau[i], -sigma[i]
         counts["coset_reps"] += 1
@@ -224,8 +191,7 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
             }
 
     report = _scan(
-        "rd", spec, theta, max_length, all_witnesses, visit, counts,
-        _coset_walk(spec, max_length, start),
+        "rd", spec, theta, max_length, all_witnesses, visit, counts, start
     )
     if not report.failed and least is not None:
         report.d_sup = Fraction(*least)
@@ -247,7 +213,15 @@ def check_prop51(spec, max_length, all_witnesses=False):
         ]
         if not ascents:
             return
-        for alpha in weyl.inversion_set_of_inverse(spec, w):
+        # Phi_{w^-1}, in the order the prefixes of w's word add its roots:
+        # the prefix x s_j adds x(alpha_j), column j of the matrix of x.
+        phi = []
+        x = w
+        while x.word:
+            j = x.word[-1] - 1
+            x = x.parent
+            phi.append(tuple(row[j] for row in x.matrix))
+        for alpha in reversed(phi):
             counts["roots_checked"] += 1
             # (A alpha)_i = <alpha, alpha_i^vee>; (alpha_i|alpha) = d_i (A alpha)_i
             a_alpha = [
@@ -315,7 +289,7 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
 
     def visit(node):
         nonlocal first_non_strict
-        word, (_, mu) = node
+        word, (_, mu), _ = node
         counts["coset_reps"] += 1
         image = [sum(a * x for a, x in zip(row, mu)) for row in inverse]
         if any(x < 0 for x in image) or all(x == 0 for x in image):
@@ -325,7 +299,7 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
 
     report = _scan(
         "lemma44", spec, theta, max_length, all_witnesses, visit, counts,
-        _coset_walk(spec, max_length, start),
+        start,
     )
     report.extra = {
         "D": _frac(D),
@@ -341,18 +315,18 @@ def check_property25(spec, max_length, all_witnesses=False):
     for alpha in Phi_v."""
     identity = weyl.identity_element(spec)
     # Filled as the scan goes: v = w s_i is shorter than w, so already seen.
-    by_matrix = {identity.matrix: identity}
+    by_mu = {identity.mu: identity}
     counts = {"elements_checked": 0}
 
     def visit(w):
-        by_matrix[w.matrix] = w
+        by_mu[w.mu] = w
         counts["elements_checked"] += 1
         blocking = {}
         for i in range(1, spec.rank + 1):
-            col = tuple(w.matrix[r][i - 1] for r in range(spec.rank))
-            if not all(x <= 0 for x in col):
+            if w.mu[i - 1] > 0:
                 continue  # not a right descent
-            v = by_matrix[weyl._mul_right_simple(spec, w.matrix, i)]
+            # mu of v = w s_i is s_i(mu of w)
+            v = by_mu[weyl.reflect_weight(spec, i, w.mu)]
             beta = spec.simple_root(i)
             bad = [
                 alpha for alpha in weyl.inversion_set(spec, v)

@@ -7,9 +7,11 @@ output.  Timings never enter the record body.
 """
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -43,13 +45,28 @@ class SurveySpec:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def canonical_matrix(matrix):
-    """Least representative under simultaneous row/column permutation."""
-    n = len(matrix)
-    return min(
-        tuple(tuple(matrix[p[i]][p[j]] for j in range(n)) for i in range(n))
+@functools.cache
+def _flat_permutations(n):
+    """For each permutation p of range(n), a getter that takes a row-major
+    flat n x n matrix to the flat matrix with entries m[p[i]][p[j]]."""
+    return tuple(
+        operator.itemgetter(*(p[i] * n + p[j] for i in range(n)
+                              for j in range(n)))
         for p in itertools.permutations(range(n))
     )
+
+
+def canonical_matrix(matrix):
+    """Least representative under simultaneous row/column permutation.
+
+    Rows have equal length, so comparing row-major flat tuples orders the
+    matrices as comparing tuples of rows does."""
+    n = len(matrix)
+    if n < 2:  # an itemgetter of one index returns the entry, not a tuple
+        return tuple(tuple(row) for row in matrix)
+    flat = [x for row in matrix for x in row]
+    least = min(permute(flat) for permute in _flat_permutations(n))
+    return tuple(least[k:k + n] for k in range(0, n * n, n))
 
 
 def _pair_options(entry_min, symmetric_only):

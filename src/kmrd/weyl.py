@@ -1,13 +1,21 @@
 """Weyl-group elements, length-layered enumeration, inversion sets and roots.
 
-An element is stored as its ShortLex-least reduced word together with the
-integer matrix of its action on root coordinates (column j = coordinates
-of w(alpha_j)) and the matrix of its inverse.  Words act by left
+An element is stored as its ShortLex-least reduced word together with
+mu = w^-1 rho in integer weight coordinates: a weight lambda has the
+coordinates <lambda, alpha_i^vee>, i = 1..n, so rho = (1, ..., 1) and the
+simple root alpha_i is column i of the Cartan matrix.  Words act by left
 composition: word (i1, ..., ik) is the map v -> s_i1(s_i2(... s_ik(v))).
+The integer matrix of w on root coordinates (column j = coordinates of
+w(alpha_j)) and the matrix of w^-1 are built only when asked for, each by
+one simple reflection from the cached matrix of the element's parent, the
+element of its word without the last letter.
+
+One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
+orbit W.rho, and the minimal coset representatives W^theta of a maximal
+theta, as the orbit of omega_P.
 """
 
 import os
-from dataclasses import dataclass
 
 from . import linalg
 from .gcm import GCMError, bilinear_form
@@ -28,15 +36,54 @@ class CapExceeded(RuntimeError):
         self.stats = stats
 
 
-@dataclass(frozen=True)
 class WeylElem:
-    word: tuple      # canonical ShortLex reduced word, 1-based generator indices
-    matrix: tuple    # integer action on root coordinates
-    inverse: tuple   # matrix of the inverse element
+    """A Weyl-group element: its word and mu = w^-1 rho, with the matrices
+    of w and of w^-1 computed on first use from the parent's."""
+
+    __slots__ = ("word", "mu", "parent", "_spec", "_matrix", "_inverse")
+
+    def __init__(self, spec, word, mu, parent=None, matrix=None,
+                 inverse=None):
+        self.word = word      # canonical ShortLex reduced word, 1-based generator indices
+        self.mu = mu          # w^-1 rho in weight coordinates
+        self.parent = parent  # element of word[:-1]; None when both matrices are given
+        self._spec = spec
+        self._matrix = matrix
+        self._inverse = inverse
+
+    def __repr__(self):
+        return f"WeylElem(word={self.word}, mu={self.mu})"
 
     @property
     def length(self):
         return len(self.word)
+
+    def _fill_from_parents(self, slot, step):
+        """Set ``slot`` on self and on each ancestor that lacks it, by
+        ``step`` applied down from the nearest ancestor that has it."""
+        chain = []
+        w = self
+        while getattr(w, slot) is None:
+            chain.append(w)
+            w = w.parent
+        m = getattr(w, slot)
+        for w in reversed(chain):
+            m = step(self._spec, m, w.word[-1])
+            setattr(w, slot, m)
+
+    @property
+    def matrix(self):
+        """Integer action of w on root coordinates."""
+        if self._matrix is None:
+            self._fill_from_parents("_matrix", _mul_right_simple)
+        return self._matrix
+
+    @property
+    def inverse(self):
+        """Matrix of the inverse element."""
+        if self._inverse is None:
+            self._fill_from_parents("_inverse", _mul_left_simple)
+        return self._inverse
 
 
 def simple_reflection_matrix(spec, i):
@@ -58,9 +105,20 @@ def reflect_simple(spec, i, v):
     )
 
 
+def reflect_weight(spec, i, v):
+    """s_i(v) in weight coordinates: v - v_i alpha_i, where alpha_i is
+    column i of the Cartan matrix."""
+    c = v[i - 1]
+    return tuple(x - c * row[i - 1] for x, row in zip(v, spec.matrix))
+
+
+def _rho(spec):
+    return (1,) * spec.rank
+
+
 def identity_element(spec):
     eye = linalg.identity(spec.rank)
-    return WeylElem(word=(), matrix=eye, inverse=eye)
+    return WeylElem(spec, (), _rho(spec), matrix=eye, inverse=eye)
 
 
 def _mul_right_simple(spec, m, i):
@@ -87,65 +145,118 @@ def word_to_element(spec, word):
     """Build the (not necessarily canonical) element of a word."""
     m = linalg.identity(spec.rank)
     inv = m
+    mu = _rho(spec)
     for i in word:
         m = _mul_right_simple(spec, m, i)
         inv = _mul_left_simple(spec, inv, i)
-    return WeylElem(word=tuple(word), matrix=m, inverse=inv)
+        mu = reflect_weight(spec, i, mu)
+    return WeylElem(spec, tuple(word), mu, matrix=m, inverse=inv)
 
 
 def apply(w, v):
     return linalg.mat_vec(w.matrix, v)
 
 
-def enumerate_by_length(spec, max_length, max_elements=None):
-    """All distinct elements of length <= max_length, as a list of layers.
+def orbit_walk(spec, max_length, start, max_elements=None):
+    """Walk the orbit of the weight start[0] in integer weight coordinates.
 
-    Layers are ShortLex-sorted; dedup is by action matrix, so the first
-    word reaching a matrix is the canonical one.
+    Yields the layers of lengths 1, 2, ..., max_length, stopping at the
+    first empty one.  A layer is a list of nodes (word, vecs, parent) in
+    ShortLex order: vecs[k] = w^-1 start[k] and parent is the position of
+    the node of word[:-1] in the layer before.  The node of the empty word
+    counts toward max_elements (the element cap by default); past the
+    cap, CapExceeded reports the count and the sizes of the whole layers.
+
+    Since <lambda, w(alpha_i)^vee> = (w^-1 lambda)_i, extending w by s_i
+    goes up exactly when that coordinate of w^-1 start[0] is positive, and
+    s_i moves w^-1 lambda by that coordinate times alpha_i.  From
+    start[0] = rho (trivial stabiliser) the walk gives the Weyl ball;
+    from omega_P (stabiliser W_theta) it gives W^theta.  Every child is
+    one letter longer than its parent, so children are deduplicated by
+    vecs[0] within their layer only, and the first (ShortLex-least) word
+    to reach a weight is kept.  The new inversion root w(alpha_i) of
+    w s_i thus pairs with start[k] to -vecs[k][i-1] of the child.
     """
     if max_elements is None:
         max_elements = element_cap()
-    layers = [[identity_element(spec)]]
-    seen = {layers[0][0].matrix}
+    # alpha_i in weight coordinates (column i of A) by its nonzero entries:
+    # reflect is reflect_weight specialised for this loop
+    alphas = [
+        [(j, row[i]) for j, row in enumerate(spec.matrix) if row[i]]
+        for i in range(spec.rank)
+    ]
+
+    def reflect(v, i):
+        c = v[i]
+        out = list(v)
+        for j, a in alphas[i]:
+            out[j] -= c * a
+        return tuple(out)
+
+    layer = [((), tuple(start), 0)]
+    sizes = [1]
     count = 1
     for _ in range(max_length):
-        frontier = []
-        for elem in layers[-1]:
-            for i in range(1, spec.rank + 1):
-                m = _mul_right_simple(spec, elem.matrix, i)
-                if m in seen:
+        children = {}
+        for p, (word, vecs, _) in enumerate(layer):
+            for i, c in enumerate(vecs[0]):
+                if c <= 0:
                     continue
-                seen.add(m)
+                child = reflect(vecs[0], i)
+                if child in children:
+                    continue
                 count += 1
                 if count > max_elements:
                     raise CapExceeded(
                         f"element cap {max_elements} exceeded",
                         {"elements_enumerated": count - 1,
-                         "layer_sizes": [len(l) for l in layers]},
+                         "layer_sizes": sizes},
                     )
-                frontier.append(WeylElem(
-                    word=elem.word + (i,),
-                    matrix=m,
-                    inverse=_mul_left_simple(spec, elem.inverse, i),
-                ))
-        if not frontier:
-            break
-        layers.append(frontier)
+                children[child] = (
+                    word + (i + 1,),
+                    (child, *[reflect(v, i) for v in vecs[1:]]),
+                    p,
+                )
+        if not children:
+            return
+        layer = list(children.values())
+        sizes.append(len(layer))
+        yield layer
+
+
+def enumerate_by_length(spec, max_length, max_elements=None):
+    """All distinct elements of length <= max_length, as a list of layers,
+    each in ShortLex order: the walk on the orbit W.rho."""
+    layers = [[identity_element(spec)]]
+    for nodes in orbit_walk(spec, max_length, (_rho(spec),), max_elements):
+        parents = layers[-1]
+        layers.append([
+            WeylElem(spec, word, vecs[0], parents[p]) for word, vecs, p in nodes
+        ])
     return layers
+
+
+def ball_size(spec, max_length):
+    """The number of elements of length <= max_length, counted on the walk
+    on W.rho without building elements or keeping past layers."""
+    return 1 + sum(
+        len(nodes) for nodes in orbit_walk(spec, max_length, (_rho(spec),))
+    )
 
 
 def inversion_set_of_word(spec, word):
     """Inversion set from the reduced-word telescoping formula.
 
     For word (i1, ..., ik) the members are
-    alpha_ik, s_ik(alpha_ik-1), ..., s_ik...s_i2(alpha_i1).
+    alpha_ik, s_ik(alpha_ik-1), ..., s_ik...s_i2(alpha_i1), each one a
+    simple root moved by simple reflections, so no matrix is built.
     """
-    acc = linalg.identity(spec.rank)
     roots = []
     for pos in range(len(word) - 1, -1, -1):
-        i = word[pos]
-        roots.append(tuple(acc[r][i - 1] for r in range(spec.rank)))
-        acc = _mul_right_simple(spec, acc, i)
+        v = spec.simple_root(word[pos])
+        for i in word[pos + 1:]:
+            v = reflect_simple(spec, i, v)
+        roots.append(v)
     return tuple(roots)
 
 

@@ -1,0 +1,84 @@
+"""Test-only reference: the matrix-based Weyl-ball enumeration as it stood
+before the ball became a walk on the orbit W.rho, kept verbatim (with the
+element type and the two matrix steps it relied on) so that the
+differential tests can compare every layer against it.  Not part of the
+package.
+"""
+
+from dataclasses import dataclass
+
+from kmrd import linalg
+from kmrd.weyl import CapExceeded, element_cap
+
+
+@dataclass(frozen=True)
+class WeylElem:
+    word: tuple      # canonical ShortLex reduced word, 1-based generator indices
+    matrix: tuple    # integer action on root coordinates
+    inverse: tuple   # matrix of the inverse element
+
+    @property
+    def length(self):
+        return len(self.word)
+
+
+def identity_element(spec):
+    eye = linalg.identity(spec.rank)
+    return WeylElem(word=(), matrix=eye, inverse=eye)
+
+
+def _mul_right_simple(spec, m, i):
+    """m @ S_i; only columns j with a_ij != 0 change."""
+    a = spec.matrix[i - 1]
+    n = spec.rank
+    return tuple(
+        tuple(row[j] - a[j] * row[i - 1] for j in range(n)) for row in m
+    )
+
+
+def _mul_left_simple(spec, m, i):
+    """S_i @ m; only row i changes."""
+    a = spec.matrix[i - 1]
+    n = spec.rank
+    new_row = tuple(
+        m[i - 1][c] - sum(a[j] * m[j][c] for j in range(n) if a[j])
+        for c in range(n)
+    )
+    return tuple(new_row if r == i - 1 else m[r] for r in range(n))
+
+
+def enumerate_by_length(spec, max_length, max_elements=None):
+    """All distinct elements of length <= max_length, as a list of layers.
+
+    Layers are ShortLex-sorted; dedup is by action matrix, so the first
+    word reaching a matrix is the canonical one.
+    """
+    if max_elements is None:
+        max_elements = element_cap()
+    layers = [[identity_element(spec)]]
+    seen = {layers[0][0].matrix}
+    count = 1
+    for _ in range(max_length):
+        frontier = []
+        for elem in layers[-1]:
+            for i in range(1, spec.rank + 1):
+                m = _mul_right_simple(spec, elem.matrix, i)
+                if m in seen:
+                    continue
+                seen.add(m)
+                count += 1
+                if count > max_elements:
+                    raise CapExceeded(
+                        f"element cap {max_elements} exceeded",
+                        {"elements_enumerated": count - 1,
+                         "layer_sizes": [len(l) for l in layers]},
+                    )
+                frontier.append(WeylElem(
+                    word=elem.word + (i,),
+                    matrix=m,
+                    inverse=_mul_left_simple(spec, elem.inverse, i),
+                ))
+        if not frontier:
+            break
+        layers.append(frontier)
+    return layers
