@@ -56,9 +56,18 @@ def cmd_roots(args):
     return EXIT_OK
 
 
+def _walk_words(spec, max_length, weight):
+    """The words of the orbit walk from weight, layer by layer from the
+    empty word."""
+    return [[()]] + [
+        [word for word, _ in nodes]
+        for nodes in weyl.orbit_walk(spec, max_length, (weight,))
+    ]
+
+
 def cmd_weyl(args):
     spec = load_gcm(args.path)
-    layers = weyl.enumerate_by_length(spec, args.max_length)
+    layers = _walk_words(spec, args.max_length, weyl.rho(spec))
     payload = {
         "name": spec.name,
         "max_length": args.max_length,
@@ -67,14 +76,14 @@ def cmd_weyl(args):
     if args.theta:
         theta = _parse_theta(args.theta)
         make_parabolic(spec, theta)
-        reps = weyl.min_coset_reps(spec, theta, layers)
+        # 0 on theta and 1 off it: the stabiliser of this weight is W_theta
+        weight = tuple(int(i not in theta) for i in range(1, spec.rank + 1))
+        reps = _walk_words(spec, args.max_length, weight)
         payload["theta"] = list(theta)
         payload["coset_rep_layer_sizes"] = [len(l) for l in reps]
-        payload["coset_reps"] = [
-            list(w.word) for layer in reps for w in layer
-        ]
+        payload["coset_reps"] = [list(w) for layer in reps for w in layer]
     else:
-        payload["words"] = [list(w.word) for layer in layers for w in layer]
+        payload["words"] = [list(w) for layer in layers for w in layer]
     _emit(payload)
     return EXIT_OK
 

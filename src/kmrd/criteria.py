@@ -6,6 +6,7 @@ evidence of success, since the underlying quantifier ranges over an
 infinite group.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -17,7 +18,6 @@ from .gcm import (
     GCMError,
     NoAdmissibleD,
     NotMaximal,
-    NullNorm,
     make_parabolic,
     matrix_hash,
     pair_with_coroot,
@@ -83,30 +83,22 @@ def _require_maximal(spec, theta):
 
 
 def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
-          start=None):
+          start):
     """The bounded scan every decider runs.
 
-    Calls the generator ``visit`` on each nontrivial element of length
-    <= max_length in ShortLex order, and collects the witnesses it yields,
-    stopping at the first one unless all_witnesses.  The elements are the
-    WeylElem of the Weyl ball by default; given ``start``, they are the
-    nodes of ``weyl.orbit_walk`` from start (the theta deciders walk
-    W^theta).  ``visit`` keeps its own counters in ``counts``; they follow
-    ``elements_enumerated``, the size of the ball, in ``stats``.
+    Calls the generator ``visit(word, vecs)`` on each nontrivial node of
+    ``weyl.orbit_walk`` from start, up to max_length in ShortLex order, and
+    collects the witnesses it yields, stopping at the first one unless
+    all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
+    follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``.
     """
     t0 = time.monotonic()
-    if start is None:
-        layers = weyl.enumerate_by_length(spec, max_length)
-        stats = {"elements_enumerated": sum(len(l) for l in layers)}
-        elements = (w for layer in layers[1:] for w in layer)
-    else:
-        stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
-        elements = (
-            node for layer in weyl.orbit_walk(spec, max_length, start)
-            for node in layer
-        )
-
-    found = (witness for w in elements for witness in visit(w))
+    stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
+    nodes = (
+        node for layer in weyl.orbit_walk(spec, max_length, start)
+        for node in layer
+    )
+    found = (witness for node in nodes for witness in visit(*node))
     witnesses = list(found if all_witnesses else itertools.islice(found, 1))
     stats.update(counts)
     return CheckReport(
@@ -166,9 +158,9 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
             )
         return root, pairs
 
-    def visit(node):
+    def visit(word, vecs):
         nonlocal least
-        word, (tau, sigma), _ = node
+        tau, sigma = vecs
         i = word[-1] - 1
         omega, rho = -tau[i], -sigma[i]
         counts["coset_reps"] += 1
@@ -200,49 +192,51 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
 
 def check_prop51(spec, max_length, all_witnesses=False):
     """Sufficient condition: <alpha_i, alpha^vee> <= 0 for every w, every
-    alpha in Phi_{w^-1} and every simple i with w^-1(alpha_i) > 0."""
-    d = spec.symmetrizer
-    counts = {"roots_checked": 0}
+    alpha in Phi_{w^-1} and every simple i with w^-1(alpha_i) > 0.
 
-    def visit(w):
-        ascents = [
-            i for i in range(1, spec.rank + 1)
-            if weyl.is_positive_vec(
-                tuple(w.inverse[r][i - 1] for r in range(spec.rank))
+    Walks the ball from (rho, alpha_1, ..., alpha_n) in weight coordinates,
+    alpha_i being column i of A.  Each root alpha of Phi_{w^-1} is kept as
+    its row (<alpha_i, alpha^vee>)_i, read off the node x s_j that adds it,
+    in the order the prefixes of w's word add them.  A is nonsingular, so a
+    row determines its root: i is a left ascent of w exactly when row i of
+    A, the row of alpha_i, is not among w's rows."""
+    counts = {"roots_checked": 0}
+    rows = {(): ()}  # word -> the rows of Phi_{w^-1}
+
+    @functools.cache  # a failing root recurs under every longer element
+    def replay(prefix, i, pairing):
+        """Root coordinates of the root the prefix's last letter adds, with
+        its pairing recomputed from them and checked against its row."""
+        root = weyl.inversion_set_of_word(spec, prefix[::-1])[-1]
+        if pair_with_coroot(spec, spec.simple_root(i), root) != pairing:
+            raise GCMError(
+                f"internal invariant violated: the pairing of alpha_{i} "
+                f"with the root {root} of word {prefix} disagrees with the "
+                f"orbit walk"
             )
-        ]
+        return root
+
+    def visit(word, vecs):
+        j = word[-1] - 1
+        phi = rows[word] = rows[word[:-1]] + (tuple(-v[j] for v in vecs[1:]),)
+        ascents = [i for i, row in enumerate(spec.matrix) if row not in phi]
         if not ascents:
             return
-        # Phi_{w^-1}, in the order the prefixes of w's word add its roots:
-        # the prefix x s_j adds x(alpha_j), column j of the matrix of x.
-        phi = []
-        x = w
-        while x.word:
-            j = x.word[-1] - 1
-            x = x.parent
-            phi.append(tuple(row[j] for row in x.matrix))
-        for alpha in reversed(phi):
-            counts["roots_checked"] += 1
-            # (A alpha)_i = <alpha, alpha_i^vee>; (alpha_i|alpha) = d_i (A alpha)_i
-            a_alpha = [
-                sum(a * x for a, x in zip(row, alpha)) for row in spec.matrix
-            ]
-            norm = sum(di * x * y for di, x, y in zip(d, alpha, a_alpha))
-            if norm <= 0:
-                raise NullNorm(f"(alpha|alpha) = {norm} <= 0")
+        counts["roots_checked"] += len(phi)
+        for k, row in enumerate(phi):
             for i in ascents:
-                # <alpha_i, alpha^vee> = 2 d_i (A alpha)_i / (alpha|alpha)
-                if a_alpha[i - 1] > 0:
+                if row[i] > 0:
                     yield {
-                        "word": list(w.word),
-                        "root": [int(x) for x in alpha],
-                        "simple_index": i,
-                        "pairing": _frac(
-                            Fraction(2 * d[i - 1] * a_alpha[i - 1], norm)
-                        ),
+                        "word": list(word),
+                        "root": list(replay(word[:k + 1], i + 1, row[i])),
+                        "simple_index": i + 1,
+                        "pairing": _frac(row[i]),
                     }
 
-    return _scan("prop51", spec, None, max_length, all_witnesses, visit, counts)
+    start = (weyl.rho(spec), *zip(*spec.matrix))
+    return _scan(
+        "prop51", spec, None, max_length, all_witnesses, visit, counts, start
+    )
 
 
 def admissible_d(par):
@@ -287,9 +281,9 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     def exact(image):
         return [_frac(Fraction(x, q * scale)) for x in image]
 
-    def visit(node):
+    def visit(word, vecs):
         nonlocal first_non_strict
-        word, (_, mu), _ = node
+        mu = vecs[1]
         counts["coset_reps"] += 1
         image = [sum(a * x for a, x in zip(row, mu)) for row in inverse]
         if any(x < 0 for x in image) or all(x == 0 for x in image):
@@ -313,23 +307,25 @@ def check_property25(spec, max_length, all_witnesses=False):
     """Factorization property: every nontrivial w admits a right descent
     s_beta (w = v s_beta, l(v) < l(w)) with alpha - beta never a real root
     for alpha in Phi_v."""
-    identity = weyl.identity_element(spec)
-    # Filled as the scan goes: v = w s_i is shorter than w, so already seen.
-    by_mu = {identity.mu: identity}
+    rho = weyl.rho(spec)
+    # mu = w^-1 rho -> word of w, filled as the scan goes: v = w s_i is
+    # shorter than w, so already seen.
+    by_mu = {rho: ()}
     counts = {"elements_checked": 0}
 
-    def visit(w):
-        by_mu[w.mu] = w
+    def visit(word, vecs):
+        (mu,) = vecs
+        by_mu[mu] = word
         counts["elements_checked"] += 1
         blocking = {}
         for i in range(1, spec.rank + 1):
-            if w.mu[i - 1] > 0:
+            if mu[i - 1] > 0:
                 continue  # not a right descent
             # mu of v = w s_i is s_i(mu of w)
-            v = by_mu[weyl.reflect_weight(spec, i, w.mu)]
+            v = by_mu[weyl.reflect_weight(spec, i, mu)]
             beta = spec.simple_root(i)
             bad = [
-                alpha for alpha in weyl.inversion_set(spec, v)
+                alpha for alpha in weyl.inversion_set_of_word(spec, v)
                 if weyl.is_real_root(
                     spec, tuple(a - b for a, b in zip(alpha, beta))
                 )
@@ -338,10 +334,11 @@ def check_property25(spec, max_length, all_witnesses=False):
                 return
             blocking[i] = [[int(x) for x in alpha] for alpha in bad]
         yield {
-            "word": list(w.word),
+            "word": list(word),
             "blocking": {str(i): roots for i, roots in blocking.items()},
         }
 
     return _scan(
-        "property25", spec, None, max_length, all_witnesses, visit, counts
+        "property25", spec, None, max_length, all_witnesses, visit, counts,
+        (rho,),
     )

@@ -70,7 +70,7 @@ def _check_gcm_axioms(matrix):
         if len(row) != n:
             raise NotGCM("matrix is not square")
         for j, a in enumerate(row):
-            if not isinstance(a, int):
+            if isinstance(a, bool) or not isinstance(a, int):
                 raise NotGCM(f"entry a[{i+1}][{j+1}] = {a!r} is not an integer")
             if i == j and a != 2:
                 raise NotGCM(f"diagonal entry a[{i+1}][{i+1}] = {a} != 2")

@@ -79,9 +79,8 @@ def _pair_options(entry_min, symmetric_only):
                 yield (x, y)
 
 
-def enumerate_family(spec: SurveySpec):
-    """Deterministic, permutation-deduplicated family of validated
-    infinite-type GCMs matching the survey spec."""
+def _validated_family(spec: SurveySpec):
+    """The family as (CartanSpec, thetas) pairs, in canonical matrix order."""
     n = spec.rank
     pairs = list(itertools.combinations(range(n), 2))
     k = -spec.entry_min
@@ -117,17 +116,22 @@ def enumerate_family(spec: SurveySpec):
         ]
         if not thetas:
             continue
-        out.append((canon, thetas))
-    out.sort(key=lambda item: item[0])
+        out.append((cs, thetas))
+    out.sort(key=lambda item: item[0].matrix)
     return out
 
 
+def enumerate_family(spec: SurveySpec):
+    """Deterministic, permutation-deduplicated family of validated
+    infinite-type GCMs matching the survey spec."""
+    return [(cs.matrix, thetas) for cs, thetas in _validated_family(spec)]
+
+
 def _run_item(args):
-    matrix, theta, max_length = args
-    cs = validate_gcm(matrix)
+    cs, theta, max_length = args
     report = criteria.check_rd(cs, theta, max_length)
     return {
-        "matrix": [list(r) for r in matrix],
+        "matrix": [list(r) for r in cs.matrix],
         "theta": list(theta),
         "verdict": report.verdict,
         "witness": report.witnesses[0] if report.witnesses else None,
@@ -192,8 +196,8 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     canonical order, so output is deterministic for any job count; with
     resume=True, completed records are skipped and new ones appended."""
     items = [
-        (matrix, theta, spec.max_length)
-        for matrix, thetas in enumerate_family(spec)
+        (cs, theta, spec.max_length)
+        for cs, thetas in _validated_family(spec)
         for theta in thetas
     ]
     digest = spec.digest()

@@ -6,13 +6,12 @@ coordinates <lambda, alpha_i^vee>, i = 1..n, so rho = (1, ..., 1) and the
 simple root alpha_i is column i of the Cartan matrix.  Words act by left
 composition: word (i1, ..., ik) is the map v -> s_i1(s_i2(... s_ik(v))).
 The integer matrix of w on root coordinates (column j = coordinates of
-w(alpha_j)) and the matrix of w^-1 are built only when asked for, each by
-one simple reflection from the cached matrix of the element's parent, the
-element of its word without the last letter.
+w(alpha_j)) and the matrix of w^-1 are folded from the word only when
+asked for.
 
 One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
-orbit W.rho, and the minimal coset representatives W^theta of a maximal
-theta, as the orbit of omega_P.
+orbit W.rho, and the minimal coset representatives W^theta, as the orbit
+of a weight whose stabiliser is W_theta.
 """
 
 import os
@@ -38,18 +37,15 @@ class CapExceeded(RuntimeError):
 
 class WeylElem:
     """A Weyl-group element: its word and mu = w^-1 rho, with the matrices
-    of w and of w^-1 computed on first use from the parent's."""
+    of w and of w^-1 folded from the word on first use."""
 
-    __slots__ = ("word", "mu", "parent", "_spec", "_matrix", "_inverse")
+    __slots__ = ("word", "mu", "_spec", "_matrix", "_inverse")
 
-    def __init__(self, spec, word, mu, parent=None, matrix=None,
-                 inverse=None):
-        self.word = word      # canonical ShortLex reduced word, 1-based generator indices
-        self.mu = mu          # w^-1 rho in weight coordinates
-        self.parent = parent  # element of word[:-1]; None when both matrices are given
+    def __init__(self, spec, word, mu):
+        self.word = word  # canonical ShortLex reduced word, 1-based generator indices
+        self.mu = mu      # w^-1 rho in weight coordinates
         self._spec = spec
-        self._matrix = matrix
-        self._inverse = inverse
+        self._matrix = self._inverse = None
 
     def __repr__(self):
         return f"WeylElem(word={self.word}, mu={self.mu})"
@@ -58,31 +54,18 @@ class WeylElem:
     def length(self):
         return len(self.word)
 
-    def _fill_from_parents(self, slot, step):
-        """Set ``slot`` on self and on each ancestor that lacks it, by
-        ``step`` applied down from the nearest ancestor that has it."""
-        chain = []
-        w = self
-        while getattr(w, slot) is None:
-            chain.append(w)
-            w = w.parent
-        m = getattr(w, slot)
-        for w in reversed(chain):
-            m = step(self._spec, m, w.word[-1])
-            setattr(w, slot, m)
-
     @property
     def matrix(self):
         """Integer action of w on root coordinates."""
         if self._matrix is None:
-            self._fill_from_parents("_matrix", _mul_right_simple)
+            self._matrix = _fold(self._spec, self.word, _mul_right_simple)
         return self._matrix
 
     @property
     def inverse(self):
         """Matrix of the inverse element."""
         if self._inverse is None:
-            self._fill_from_parents("_inverse", _mul_left_simple)
+            self._inverse = _fold(self._spec, self.word, _mul_left_simple)
         return self._inverse
 
 
@@ -112,13 +95,9 @@ def reflect_weight(spec, i, v):
     return tuple(x - c * row[i - 1] for x, row in zip(v, spec.matrix))
 
 
-def _rho(spec):
+def rho(spec):
+    """rho in weight coordinates."""
     return (1,) * spec.rank
-
-
-def identity_element(spec):
-    eye = linalg.identity(spec.rank)
-    return WeylElem(spec, (), _rho(spec), matrix=eye, inverse=eye)
 
 
 def _mul_right_simple(spec, m, i):
@@ -141,16 +120,20 @@ def _mul_left_simple(spec, m, i):
     return tuple(new_row if r == i - 1 else m[r] for r in range(n))
 
 
+def _fold(spec, word, step):
+    """The identity matrix moved by ``step`` once per letter of the word."""
+    m = linalg.identity(spec.rank)
+    for i in word:
+        m = step(spec, m, i)
+    return m
+
+
 def word_to_element(spec, word):
     """Build the (not necessarily canonical) element of a word."""
-    m = linalg.identity(spec.rank)
-    inv = m
-    mu = _rho(spec)
+    mu = rho(spec)
     for i in word:
-        m = _mul_right_simple(spec, m, i)
-        inv = _mul_left_simple(spec, inv, i)
         mu = reflect_weight(spec, i, mu)
-    return WeylElem(spec, tuple(word), mu, matrix=m, inverse=inv)
+    return WeylElem(spec, tuple(word), mu)
 
 
 def apply(w, v):
@@ -161,9 +144,8 @@ def orbit_walk(spec, max_length, start, max_elements=None):
     """Walk the orbit of the weight start[0] in integer weight coordinates.
 
     Yields the layers of lengths 1, 2, ..., max_length, stopping at the
-    first empty one.  A layer is a list of nodes (word, vecs, parent) in
-    ShortLex order: vecs[k] = w^-1 start[k] and parent is the position of
-    the node of word[:-1] in the layer before.  The node of the empty word
+    first empty one.  A layer is a list of nodes (word, vecs) in ShortLex
+    order, with vecs[k] = w^-1 start[k].  The node of the empty word
     counts toward max_elements (the element cap by default); past the
     cap, CapExceeded reports the count and the sizes of the whole layers.
 
@@ -171,11 +153,12 @@ def orbit_walk(spec, max_length, start, max_elements=None):
     goes up exactly when that coordinate of w^-1 start[0] is positive, and
     s_i moves w^-1 lambda by that coordinate times alpha_i.  From
     start[0] = rho (trivial stabiliser) the walk gives the Weyl ball;
-    from omega_P (stabiliser W_theta) it gives W^theta.  Every child is
-    one letter longer than its parent, so children are deduplicated by
-    vecs[0] within their layer only, and the first (ShortLex-least) word
-    to reach a weight is kept.  The new inversion root w(alpha_i) of
-    w s_i thus pairs with start[k] to -vecs[k][i-1] of the child.
+    from a dominant weight with stabiliser W_theta, such as omega_P for a
+    maximal theta, it gives W^theta.  Every child is one letter longer
+    than its parent, so children are deduplicated by vecs[0] within their
+    layer only, and the first (ShortLex-least) word to reach a weight is
+    kept.  The new inversion root w(alpha_i) of w s_i thus pairs with
+    start[k] to -vecs[k][i-1] of the child.
     """
     if max_elements is None:
         max_elements = element_cap()
@@ -193,12 +176,12 @@ def orbit_walk(spec, max_length, start, max_elements=None):
             out[j] -= c * a
         return tuple(out)
 
-    layer = [((), tuple(start), 0)]
+    layer = [((), tuple(start))]
     sizes = [1]
     count = 1
     for _ in range(max_length):
         children = {}
-        for p, (word, vecs, _) in enumerate(layer):
+        for word, vecs in layer:
             for i, c in enumerate(vecs[0]):
                 if c <= 0:
                     continue
@@ -215,7 +198,6 @@ def orbit_walk(spec, max_length, start, max_elements=None):
                 children[child] = (
                     word + (i + 1,),
                     (child, *[reflect(v, i) for v in vecs[1:]]),
-                    p,
                 )
         if not children:
             return
@@ -227,12 +209,9 @@ def orbit_walk(spec, max_length, start, max_elements=None):
 def enumerate_by_length(spec, max_length, max_elements=None):
     """All distinct elements of length <= max_length, as a list of layers,
     each in ShortLex order: the walk on the orbit W.rho."""
-    layers = [[identity_element(spec)]]
-    for nodes in orbit_walk(spec, max_length, (_rho(spec),), max_elements):
-        parents = layers[-1]
-        layers.append([
-            WeylElem(spec, word, vecs[0], parents[p]) for word, vecs, p in nodes
-        ])
+    layers = [[word_to_element(spec, ())]]
+    for nodes in orbit_walk(spec, max_length, (rho(spec),), max_elements):
+        layers.append([WeylElem(spec, word, mu) for word, (mu,) in nodes])
     return layers
 
 
@@ -240,7 +219,7 @@ def ball_size(spec, max_length):
     """The number of elements of length <= max_length, counted on the walk
     on W.rho without building elements or keeping past layers."""
     return 1 + sum(
-        len(nodes) for nodes in orbit_walk(spec, max_length, (_rho(spec),))
+        len(nodes) for nodes in orbit_walk(spec, max_length, (rho(spec),))
     )
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from kmrd import weyl
 from kmrd.cli import main
+from kmrd.weyl import CapExceeded
 
 
 def run_cli(capsys, *argv):
@@ -27,7 +29,8 @@ def test_validate_missing_file(capsys):
 
 def test_validate_bad_matrix(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    for matrix in ([[2, -1], [-1, 2]], [], 5, [1, 2]):
+    for matrix in ([[2, -1], [-1, 2]], [], 5, [1, 2],
+                   [[2, -3, False], [-3, 2, -1], [False, -1, 2]]):
         bad.write_text(json.dumps({"matrix": matrix}))
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 2, matrix
@@ -65,6 +68,61 @@ def test_weyl_command_theta(capsys, ff_path):
     assert data["theta"] == [2, 3]
     assert data["coset_rep_layer_sizes"][0] == 1
     assert [] in data["coset_reps"]
+
+
+def coset_reps_by_filter(spec, max_length, theta):
+    """The ``kmrd weyl --theta`` output as the filter of the ball by
+    ``weyl.min_coset_reps`` gives it."""
+    layers = weyl.enumerate_by_length(spec, max_length)
+    reps = weyl.min_coset_reps(spec, theta, layers)
+    return json.dumps({
+        "name": spec.name,
+        "max_length": max_length,
+        "layer_sizes": [len(l) for l in layers],
+        "theta": list(theta),
+        "coset_rep_layer_sizes": [len(l) for l in reps],
+        "coset_reps": [list(w.word) for layer in reps for w in layer],
+    }, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("gcm, max_length, theta", [
+    ("ff", 12, (1,)),
+    ("ff", 12, (3,)),
+    ("ff", 12, (2, 3)),
+    ("ff", 12, (1, 3)),
+    ("rank7", 7, (1, 2, 3, 4, 5, 6)),
+    ("rank7", 7, (2, 4)),
+])
+def test_weyl_theta_matches_coset_rep_filter(capsys, request, gcm, max_length,
+                                            theta):
+    spec = request.getfixturevalue(f"{gcm}_spec")
+    path = request.getfixturevalue(f"{gcm}_path")
+    code, out, _ = run_cli(
+        capsys, "weyl", path, "--max-length", str(max_length),
+        "--theta", ",".join(map(str, theta)),
+    )
+    assert code == 0
+    expected = coset_reps_by_filter(spec, max_length, theta)
+    # Key by key first: a failing comparison of the whole text is slow to
+    # report.
+    got, want = json.loads(out), json.loads(expected)
+    for key in want:
+        assert got[key] == want[key], key
+    assert out == expected
+
+
+def test_weyl_theta_cap_exceeded(capsys, ff_spec, ff_path, monkeypatch):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "100")
+    with pytest.raises(CapExceeded) as expected:
+        coset_reps_by_filter(ff_spec, 12, (2, 3))
+    code, out, err = run_cli(
+        capsys, "weyl", ff_path, "--max-length", "12", "--theta", "2,3"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: {expected.value} (partial stats: {expected.value.stats})\n"
+    )
 
 
 def test_check_rd_holds(capsys, ff_path):

@@ -82,6 +82,16 @@ def test_prop51_ff_fails(ff_spec):
     assert w["pairing"] == {"num": 1, "den": 1}
 
 
+def test_prop51_witness_replay_must_agree_with_walk(ff_spec, monkeypatch):
+    # The witness root is replayed from its word; a root whose pairing
+    # differs from the row the walk carried is an internal error.
+    monkeypatch.setattr(
+        weyl, "inversion_set_of_word", lambda spec, word: ((1, 0, 0),)
+    )
+    with pytest.raises(GCMError, match="disagrees with the orbit walk"):
+        check_prop51(ff_spec, 10)
+
+
 def test_prop51_rank2_holds():
     from kmrd.rank2 import rank2_spec
 

@@ -1,7 +1,7 @@
 """The Weyl ball as the walk on the orbit W.rho: layer for layer the same
 words and matrices as the frozen matrix-based enumerator in
-``reference_weyl``, the same CapExceeded, and no matrix built by the
-deciders that walk W^theta."""
+``reference_weyl``, the same CapExceeded, and no matrix built by any of
+the four deciders."""
 
 import itertools
 import random
@@ -20,8 +20,7 @@ RANK7_THETA = (1, 2, 3, 4, 5, 6)
 def assert_same_ball(spec, max_length, reverse=False):
     """Per layer: the same words, matrices and inverse matrices, and mu
     positive in exactly the coordinates i with w(alpha_i) > 0.  With
-    reverse, the matrices are asked for longest element first, so each is
-    built along a whole chain of parents."""
+    reverse, the matrices are asked for longest element first."""
     expected = ref.enumerate_by_length(spec, max_length)
     layers = weyl.enumerate_by_length(spec, max_length)
     assert [len(l) for l in layers] == [len(l) for l in expected]
@@ -112,6 +111,7 @@ def test_walk_deciders_build_no_matrix(ff_spec, rank7_spec, monkeypatch):
         (criteria.check_lemma44, (ff_spec, (2, 3), 12)),
         (criteria.check_lemma44, (ff_spec, (1, 3), 12)),
         (criteria.check_property25, (ff_spec, 8)),
+        (criteria.check_prop51, (ff_spec, 12)),
     ]
     expected = [report_body(f(*args, all_witnesses=True)) for f, args in runs]
 

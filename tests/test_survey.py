@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kmrd import CapExceeded, validate_gcm
+from kmrd import CapExceeded, survey, validate_gcm
 from kmrd.survey import (
     SurveySpec,
     canonical_matrix,
@@ -152,6 +152,23 @@ def test_parallel_matches_serial(tmp_path):
     run_survey(spec, str(serial), jobs=1)
     run_survey(spec, str(parallel), jobs=2)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_survey_validates_each_matrix_once(tmp_path, monkeypatch):
+    spec = SurveySpec(rank=3, entry_min=-2, max_length=4)
+    calls = []
+
+    def counting_validate(*args, **kwargs):
+        calls.append(args)
+        return validate_gcm(*args, **kwargs)
+
+    monkeypatch.setattr(survey, "validate_gcm", counting_validate)
+    enumerate_family(spec)
+    family_calls = len(calls)
+    calls.clear()
+    completed = run_survey(spec, str(tmp_path / "records.jsonl"))
+    assert completed > 0
+    assert len(calls) == family_calls
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
