@@ -67,11 +67,11 @@ def _walk_words(spec, max_length, weight):
 
 def cmd_weyl(args):
     spec = load_gcm(args.path)
-    layers = _walk_words(spec, args.max_length, weyl.rho(spec))
+    weyl.ball_size(spec, args.max_length)  # refuse an over-cap bound first
     payload = {
         "name": spec.name,
         "max_length": args.max_length,
-        "layer_sizes": [len(l) for l in layers],
+        "layer_sizes": weyl.growth_series(spec, args.max_length),
     }
     if args.theta:
         theta = _parse_theta(args.theta)
@@ -83,6 +83,7 @@ def cmd_weyl(args):
         payload["coset_rep_layer_sizes"] = [len(l) for l in reps]
         payload["coset_reps"] = [list(w) for layer in reps for w in layer]
     else:
+        layers = _walk_words(spec, args.max_length, weyl.rho(spec))
         payload["words"] = [list(w) for layer in layers for w in layer]
     _emit(payload)
     return EXIT_OK

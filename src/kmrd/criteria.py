@@ -90,8 +90,11 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
     ``weyl.orbit_walk`` from start, up to max_length in ShortLex order, and
     collects the witnesses it yields, stopping at the first one unless
     all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
-    follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``.
+    follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``;
+    it comes from the growth series, so an over-cap bound is refused before
+    the walk starts.
     """
+    weyl.check_max_length(max_length)
     t0 = time.monotonic()
     stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
     nodes = (

@@ -191,6 +191,8 @@ def verify_prop52(a, b, max_n, rd_max_length=None):
     nodes (and hence a and b) swapped.
     """
     _check_hyperbolic(a, b)
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     spec = rank2_spec(a, b)
     viol_2, match_2 = _family_scan(a, b, max_n)
     viol_1, match_1 = _family_scan(b, a, max_n)

@@ -39,6 +39,10 @@ class SurveySpec:
             raise ValueError("rank must be between 2 and 5")
         if self.entry_min >= 0:
             raise ValueError("entry_min must be negative")
+        if self.max_length < 0:
+            raise ValueError(
+                f"max_length must be >= 0, got {self.max_length}"
+            )
 
     def digest(self):
         payload = json.dumps(asdict(self), sort_keys=True)

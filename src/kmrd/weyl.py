@@ -11,9 +11,11 @@ asked for.
 
 One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
 orbit W.rho, and the minimal coset representatives W^theta, as the orbit
-of a weight whose stabiliser is W_theta.
+of a weight whose stabiliser is W_theta.  The ball is counted, layer by
+layer, from its growth series (``growth_series``), without a walk.
 """
 
+import functools
 import os
 
 from . import linalg
@@ -140,6 +142,13 @@ def apply(w, v):
     return linalg.mat_vec(w.matrix, v)
 
 
+def check_max_length(max_length):
+    """Refuse a negative length bound, under which every scan would pass
+    vacuously."""
+    if max_length < 0:
+        raise GCMError(f"max_length must be >= 0, got {max_length}")
+
+
 def orbit_walk(spec, max_length, start, max_elements=None):
     """Walk the orbit of the weight start[0] in integer weight coordinates.
 
@@ -160,6 +169,7 @@ def orbit_walk(spec, max_length, start, max_elements=None):
     kept.  The new inversion root w(alpha_i) of w s_i thus pairs with
     start[k] to -vecs[k][i-1] of the child.
     """
+    check_max_length(max_length)
     if max_elements is None:
         max_elements = element_cap()
     # alpha_i in weight coordinates (column i of A) by its nonzero entries:
@@ -216,11 +226,157 @@ def enumerate_by_length(spec, max_length, max_elements=None):
 
 
 def ball_size(spec, max_length):
-    """The number of elements of length <= max_length, counted on the walk
-    on W.rho without building elements or keeping past layers."""
-    return 1 + sum(
-        len(nodes) for nodes in orbit_walk(spec, max_length, (rho(spec),))
-    )
+    """The number of elements of length <= max_length, summed from
+    ``growth_series`` without walking the ball.
+
+    Past the element cap, CapExceeded carries the stats the walk would
+    report: the cap as ``elements_enumerated`` (the walk counts the
+    identity before its first check, so at least 1) and the sizes of the
+    whole layers before the one that crosses the cap."""
+    max_elements = element_cap()
+    sizes = []
+    total = 0
+    for size in _layer_sizes(spec, max_length):
+        total += size
+        if sizes and total > max_elements:
+            raise CapExceeded(
+                f"element cap {max_elements} exceeded",
+                {"elements_enumerated": max(max_elements, 1),
+                 "layer_sizes": sizes},
+            )
+        sizes.append(size)
+    return total
+
+
+def growth_series(spec, max_length):
+    """The layer sizes [1, |W_1|, ..., |W_L|], L = max_length, of the
+    Weyl ball, where W_k holds the elements of length k.
+
+    Steinberg's formula (Humphreys, Reflection Groups and Coxeter Groups,
+    5.12) gives, for infinite W, the growth series W(t) as the inverse of
+    the sum of (-1)^|J| t^N_J / W_J(t) over the subsets J of the nodes
+    with W_J finite, N_J being the number of positive roots of W_J.
+    Macdonald's formula (Math. Ann. 199, 1972) gives
+    1 / W_J(t) = prod (1 - t^h) / (1 - t^(h+1)) over the heights h of
+    those roots.  A term with N_J > L is 0 mod t^(L+1), and so is the term
+    of every superset of J.  ``validate_gcm`` rejects finite type, so W is
+    infinite and no layer is empty."""
+    return list(_layer_sizes(spec, max_length))
+
+
+def _finite_parabolics(spec, max_roots):
+    """(|J|, heights of the positive roots of W_J) for the subsets J of
+    the nodes whose W_J is finite with at most max_roots positive roots.
+
+    The positive roots of W_J are the closure of its simple roots under
+    the simple reflections of J that raise the height: s_j adds -c alpha_j
+    to a root when c = <root, alpha_j^vee> < 0.  Roots are kept in weight
+    coordinates, where c is coordinate j and alpha_j is column j of A; A
+    is nonsingular, so these coordinates determine the root.
+
+    A closure that passes max_roots, or k * max(k, 15) for |J| = k, is cut
+    off: either W_J has more than max_roots positive roots, or it is
+    infinite, as an irreducible finite root system of rank k has at most
+    k * max(k, 15) positive roots (E8 has 8 * 15, B_k and C_k have k^2, the
+    most of the classical types) and a sum of them at most the sum of the
+    bounds.  Every superset of a cut-off J is skipped."""
+    alphas = list(zip(*spec.matrix))
+    cut = set()
+    out = []
+    for mask, nodes, below in _subsets(spec.rank):
+        heights = None
+        if not any(sub in cut for sub in below):
+            bound = min(max_roots, len(nodes) * max(len(nodes), 15))
+            heights = _closure_heights(alphas, nodes, bound)
+        if heights is None:
+            cut.add(mask)
+        else:
+            out.append((len(nodes), heights))
+    return out
+
+
+@functools.cache
+def _subsets(n):
+    """(mask, its nodes, the masks one node smaller) for the nonempty
+    subsets of range(n), each after all of its subsets."""
+    out = []
+    for mask in range(1, 1 << n):
+        nodes = [i for i in range(n) if mask >> i & 1]
+        out.append((mask, nodes, [mask ^ 1 << i for i in nodes]))
+    return out
+
+
+def _closure_heights(alphas, nodes, bound):
+    """The heights of the closure of the simple roots of nodes, or None
+    once it has more than bound roots."""
+    roots = [(alphas[i], 1) for i in nodes]  # (weight coordinates, height)
+    if len(roots) > bound:
+        return None
+    seen = {root for root, _ in roots}
+    for root, height in roots:  # grows while it is read
+        for j in nodes:
+            c = root[j]
+            if c < 0:
+                up = tuple([x - c * a for x, a in zip(root, alphas[j])])
+                if up not in seen:
+                    if len(roots) == bound:
+                        return None
+                    seen.add(up)
+                    roots.append((up, height - c))
+    return [height for _, height in roots]
+
+
+def _times_binomial(series, a):
+    """series * (1 - t^a), in place, truncated at its length."""
+    for d in range(len(series) - 1, a - 1, -1):
+        series[d] -= series[d - a]
+
+
+def _over_binomial(series, a):
+    """series / (1 - t^a), in place, truncated at its length."""
+    for d in range(a, len(series)):
+        series[d] += series[d - a]
+
+
+def _layer_sizes(spec, max_length):
+    """Yield |W_0|, ..., |W_L| for L = max_length, one at a time.
+
+    With the denominators of Macdonald's terms brought to a common Q(t),
+    the product of (1 - t^m)^c_m with c_m the most factors 1 - t^m of any
+    one term, Steinberg's sum is R(t)/Q(t) for a polynomial R of degree at
+    most deg Q, and W(t) = Q(t)/R(t).  Both are built truncated at degree
+    min(L, deg Q); then each layer costs one step of the recurrence
+    R * W = Q, whatever L is, so a caller can stop at any layer."""
+    check_max_length(max_length)
+    # sum of (-1)^|J| over the J with the same heights, whose terms agree
+    terms = {(): 1}
+    for size, heights in _finite_parabolics(spec, max_length):
+        key = tuple(sorted(heights))
+        terms[key] = terms.get(key, 0) + (-1 if size % 2 else 1)
+    powers = {}  # m -> the most factors 1 - t^m of any one term
+    for heights in terms:
+        for h in set(heights):
+            powers[h + 1] = max(powers.get(h + 1, 0), heights.count(h))
+    degree = min(max_length, sum(m * c for m, c in powers.items()))
+    q = [1] + [0] * degree
+    for m, c in powers.items():
+        for _ in range(c):
+            _times_binomial(q, m)
+    r = [0] * (degree + 1)
+    for heights, sign in terms.items():
+        # (-1)^|J| t^N_J Q(t) / W_J(t)
+        term = ([0] * len(heights) + q)[:degree + 1]
+        for h in heights:
+            _times_binomial(term, h)
+            _over_binomial(term, h + 1)
+        r = [x + sign * y for x, y in zip(r, term)]
+    steps = [(i, x) for i, x in enumerate(r) if i and x]  # r[0] = 1
+    sizes = []
+    for k in range(max_length + 1):
+        size = q[k] if k <= degree else 0
+        size -= sum(x * sizes[k - i] for i, x in steps if i <= k)
+        sizes.append(size)
+        yield size
 
 
 def inversion_set_of_word(spec, word):

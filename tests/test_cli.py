@@ -125,6 +125,57 @@ def test_weyl_theta_cap_exceeded(capsys, ff_spec, ff_path, monkeypatch):
     )
 
 
+def test_weyl_cap_refused_before_any_walk(capsys, ff_spec, ff_path,
+                                         monkeypatch):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "40")
+    with pytest.raises(CapExceeded) as expected:
+        coset_reps_by_filter(ff_spec, 12, (2, 3))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("kmrd weyl walked before refusing the bound")
+
+    monkeypatch.setattr(weyl, "orbit_walk", no_walk)
+    for theta in ((), ("--theta", "2,3")):
+        code, out, err = run_cli(
+            capsys, "weyl", ff_path, "--max-length", "12", *theta
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: {expected.value} (partial stats: {expected.value.stats})\n"
+        )
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "rd", "{ff}", "--theta", "2,3", "--max-length", "-3"),
+    ("check", "lemma44", "{ff}", "--theta", "2,3", "--max-length", "-1"),
+    ("check", "prop51", "{ff}", "--max-length", "-1"),
+    ("check", "conj", "{ff}", "--max-length", "-1"),
+    ("weyl", "{ff}", "--max-length", "-1"),
+    ("weyl", "{ff}", "--max-length", "-1", "--theta", "2,3"),
+    ("ff", "verify", "--max-length", "-1"),
+    ("rank2", "verify", "-a", "2", "-b", "3", "--max-n", "-1", "--assert"),
+])
+def test_negative_bound_is_input_error(capsys, ff_path, argv):
+    code, out, err = run_cli(
+        capsys, *(arg.format(ff=ff_path) for arg in argv)
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
+
+
+def test_survey_negative_bound_is_input_error(capsys, tmp_path):
+    out_path = tmp_path / "survey.jsonl"
+    code, _, err = run_cli(
+        capsys, "survey", "--rank", "2", "--entry-min", "-3",
+        "--max-length", "-1", "--out", str(out_path),
+    )
+    assert code == 2
+    assert "must be >= 0" in err
+    assert not out_path.exists()
+
+
 def test_check_rd_holds(capsys, ff_path):
     code, out, _ = run_cli(
         capsys, "check", "rd", ff_path,

@@ -1,9 +1,12 @@
 """The Weyl ball as the walk on the orbit W.rho: layer for layer the same
 words and matrices as the frozen matrix-based enumerator in
 ``reference_weyl``, the same CapExceeded, and no matrix built by any of
-the four deciders."""
+the four deciders.  Its size comes from the growth series, which must
+give the walk's layer sizes and the reference's CapExceeded, and no
+decider walks W.rho to count it."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_weyl as ref
 from kmrd import criteria, weyl
 from kmrd.gcm import GCMError, validate_gcm
+from kmrd.rank2 import rank2_spec
 
 PAIRS = [(0, 0)] + list(itertools.product(range(-1, -4, -1), repeat=2))
 RANK7_THETA = (1, 2, 3, 4, 5, 6)
@@ -77,7 +81,7 @@ def test_ball_matches_reference_on_random_gcms(spec, max_length, reverse):
 
 
 # The ff ball of length <= 6 has 53 elements.
-@pytest.mark.parametrize("cap", [1, 2, 3, 8, 10, 27, 52])
+@pytest.mark.parametrize("cap", range(53))
 def test_cap_matches_reference(ff_spec, rank7_spec, cap, monkeypatch):
     for spec in (ff_spec, rank7_spec):
         with pytest.raises(weyl.CapExceeded) as expected:
@@ -89,8 +93,12 @@ def test_cap_matches_reference(ff_spec, rank7_spec, cap, monkeypatch):
         monkeypatch.setenv("KMRD_MAX_ELEMENTS", str(cap))
         with pytest.raises(weyl.CapExceeded) as counted:
             weyl.ball_size(spec, 6)
+        # nothing is counted past the identity at max_length 0
+        assert len(ref.enumerate_by_length(spec, 0, max_elements=cap)) == 1
+        assert weyl.ball_size(spec, 0) == 1
         monkeypatch.delenv("KMRD_MAX_ELEMENTS")
         assert counted.value.stats == expected.value.stats
+        assert str(counted.value) == str(expected.value)
 
 
 def test_ball_size_counts_the_ball(ff_spec, rank7_spec):
@@ -123,3 +131,131 @@ def test_walk_deciders_build_no_matrix(ff_spec, rank7_spec, monkeypatch):
     got = [report_body(f(*args, all_witnesses=True)) for f, args in runs]
     assert got == expected
     assert len(got[0]["witnesses"]) == 16
+
+
+def walk_sizes(spec, max_length, max_elements=None):
+    """The ball's layer sizes recounted on the walk from rho."""
+    return [1] + [
+        len(layer) for layer in
+        weyl.orbit_walk(spec, max_length, (weyl.rho(spec),), max_elements)
+    ]
+
+
+def test_growth_series_matches_walk(ff_spec, rank7_spec):
+    for spec, max_length, total in (
+        (ff_spec, 30, 55393),
+        (rank7_spec, 12, 51332),
+        (relabelled(rank7_spec, 3), 12, 51332),
+    ):
+        sizes = weyl.growth_series(spec, max_length)
+        assert sizes == walk_sizes(spec, max_length)
+        assert weyl.ball_size(spec, max_length) == sum(sizes) == total
+
+
+def test_growth_series_rank2_is_infinite_dihedral():
+    spec = rank2_spec(2, 3)
+    assert weyl.growth_series(spec, 500) == [1] + [2] * 500
+    assert weyl.growth_series(spec, 0) == [1]
+
+
+@st.composite
+def symmetrizable_gcms(draw):
+    """Rank 2-5 GCMs built from a symmetrizer d: d_i a_ij = d_j a_ji =
+    -k lcm(d_i, d_j), k = 0, 1, 2, so every edge from A2, B2 and G2 to
+    infinite dihedral can occur."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        k = draw(st.integers(0, 2)) * math.lcm(d[i], d[j])
+        matrix[i][j], matrix[j][i] = -k // d[i], -k // d[j]
+    try:
+        return validate_gcm(matrix)
+    except GCMError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=symmetrizable_gcms(),
+       max_length=st.integers(min_value=0, max_value=8))
+def test_growth_series_matches_walk_on_random_gcms(spec, max_length):
+    sizes = weyl.growth_series(spec, max_length)
+    assert len(sizes) == max_length + 1
+    try:
+        assert sizes == walk_sizes(spec, max_length, 20_000)
+    except weyl.CapExceeded as exc:
+        # the walk stopped inside the layer after its whole ones
+        done = exc.stats["layer_sizes"]
+        assert sizes[:len(done)] == done
+        assert sum(sizes[:len(done) + 1]) > 20_000
+
+
+def test_negative_bounds_rejected(ff_spec):
+    for run in (
+        lambda: weyl.growth_series(ff_spec, -1),
+        lambda: weyl.ball_size(ff_spec, -1),
+        lambda: list(weyl.orbit_walk(ff_spec, -1, (weyl.rho(ff_spec),))),
+        lambda: criteria.check_prop51(ff_spec, -1),
+        lambda: criteria.check_rd(ff_spec, (2, 3), -2),
+    ):
+        with pytest.raises(GCMError, match="max_length must be >= 0"):
+            run()
+
+
+def test_no_decider_walks_the_ball_to_count_it(ff_spec, rank7_spec,
+                                               monkeypatch):
+    """With a walk from (rho,) forbidden, check_rd and check_lemma44 give
+    the same reports, each from one walk, and their elements_enumerated
+    is the ball recounted on the walk."""
+    runs = [
+        (criteria.check_rd, (rank7_spec, RANK7_THETA, 12)),
+        (criteria.check_lemma44, (ff_spec, (2, 3), 12)),
+        (criteria.check_lemma44, (ff_spec, (1, 3), 12)),
+    ]
+    expected = [report_body(f(*args)) for f, args in runs]
+    assert expected[0]["stats"] == {
+        "elements_enumerated": 51332, "coset_reps": 39, "roots_checked": 166,
+    }
+    walk = weyl.orbit_walk
+    starts = []
+
+    def guarded(spec, max_length, start, *args):
+        if tuple(start) == (weyl.rho(spec),):
+            raise AssertionError("walked W.rho")
+        starts.append(start)
+        return walk(spec, max_length, start, *args)
+
+    monkeypatch.setattr(weyl, "orbit_walk", guarded)
+    assert [report_body(f(*args)) for f, args in runs] == expected
+    assert len(starts) == len(runs)
+    monkeypatch.undo()
+    for (_, (spec, _, max_length)), body in zip(runs, expected):
+        assert body["stats"]["elements_enumerated"] == sum(
+            walk_sizes(spec, max_length)
+        )
+
+
+def test_ball_deciders_walk_once(ff_spec, monkeypatch):
+    walk = weyl.orbit_walk
+    starts = []
+
+    def counted(spec, max_length, start, *args):
+        starts.append(start)
+        return walk(spec, max_length, start, *args)
+
+    monkeypatch.setattr(weyl, "orbit_walk", counted)
+    criteria.check_prop51(ff_spec, 8, all_witnesses=True)
+    criteria.check_property25(ff_spec, 8, all_witnesses=True)
+    weyl.ball_size(ff_spec, 8)
+    assert len(starts) == 2
+
+
+def test_check_rd_far_past_the_default_cap(rank7_spec, monkeypatch):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", str(10**15))
+    short = criteria.check_rd(rank7_spec, RANK7_THETA, 12)
+    long = criteria.check_rd(rank7_spec, RANK7_THETA, 40)
+    assert long.failed
+    assert long.witnesses[0] == short.witnesses[0]
+    assert long.witnesses[0]["word"] == [7, 2, 1, 3, 2, 7]
+    assert long.stats["coset_reps"] == short.stats["coset_reps"] == 39
+    assert long.stats["elements_enumerated"] == 1383649544

@@ -138,3 +138,10 @@ def test_sign_inequality_direct():
             for kind in (A1_FAMILY, A2_FAMILY):
                 p, qq = root_closed_form(n, kind, a, b)
                 assert 2 * qq - a * p < 0
+
+
+def test_verify_prop52_rejects_negative_bounds():
+    with pytest.raises(ValueError, match="max_n"):
+        verify_prop52(2, 3, -1)
+    with pytest.raises(ValueError, match="max_length"):
+        verify_prop52(2, 3, 2, rd_max_length=-1)

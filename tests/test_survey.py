@@ -21,6 +21,12 @@ def test_spec_validation():
         SurveySpec(rank=2, entry_min=0, max_length=6)
 
 
+def test_spec_rejects_negative_max_length():
+    with pytest.raises(ValueError, match="max_length"):
+        SurveySpec(rank=2, entry_min=-3, max_length=-1)
+    assert SurveySpec(rank=2, entry_min=-3, max_length=0).max_length == 0
+
+
 def test_spec_digest_depends_on_fields():
     a = SurveySpec(rank=2, entry_min=-3, max_length=6)
     b = SurveySpec(rank=2, entry_min=-3, max_length=7)
