@@ -265,8 +265,8 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     roots for every nontrivial w in W^theta.
 
     Runs on the orbit walk, which carries the image in scaled integer
-    weight coordinates; A^-1, scaled to integers, maps it to root
-    coordinates."""
+    weight coordinates; adj A, signed so that it is |det A| A^-1, maps it
+    to root coordinates times |det A|."""
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
     if D is None:
@@ -275,9 +275,9 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
         D * n + m for n, m in zip(par.omega_P, par.rho_M)
     )
     scale, start = _scaled_weight_coords(spec, (par.omega_P, vec))
-    # A^-1 = inverse / q with an integer matrix inverse
-    q = math.lcm(*(x.denominator for row in spec.inverse for x in row))
-    inverse = [[int(x * q) for x in row] for row in spec.inverse]
+    # |det A| A^-1 = sign(det A) adj A, an integer matrix
+    q = abs(spec.det)
+    inverse = [[x * q // spec.det for x in row] for row in spec.adjugate]
     counts = {"coset_reps": 0}
     first_non_strict = None
 

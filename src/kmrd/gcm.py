@@ -55,7 +55,8 @@ class CartanSpec:
     rank: int
     matrix: tuple          # rank x rank, integer entries
     symmetrizer: tuple     # positive integers, gcd 1
-    inverse: tuple         # rank x rank, Fractions
+    adjugate: tuple        # rank x rank integers, adj A = det(A) A^-1
+    det: int               # det A, nonzero
     name: str | None = None
     labels: tuple | None = None
     gram: tuple = field(default=None, repr=False)  # diag(d) @ A, symmetric
@@ -122,10 +123,6 @@ def _symmetrizer(matrix):
     return d_int, gram
 
 
-def _is_positive_definite(sym):
-    return all(m > 0 for m in linalg.leading_principal_minors(sym))
-
-
 def validate_gcm(matrix, name=None, labels=None):
     """Validate a generalized Cartan matrix and assemble its CartanSpec.
 
@@ -138,16 +135,17 @@ def validate_gcm(matrix, name=None, labels=None):
     matrix = tuple(tuple(row) for row in matrix)
     _check_gcm_axioms(matrix)
     d, gram = _symmetrizer(matrix)
-    if _is_positive_definite(gram):
+    if linalg.is_positive_definite(gram):
         raise FiniteType("matrix is of finite type")
-    inverse = linalg.mat_inv(matrix)
-    if inverse is None:
+    adj, det = linalg.adjugate(matrix)
+    if adj is None:
         raise Singular("det(A) = 0")
     return CartanSpec(
         rank=len(matrix),
         matrix=matrix,
         symmetrizer=d,
-        inverse=inverse,
+        adjugate=adj,
+        det=det,
         name=name,
         labels=tuple(labels) if labels else None,
         gram=gram,
@@ -162,7 +160,7 @@ def is_finite_type(spec, theta):
     sub = tuple(
         tuple(spec.gram[i - 1][j - 1] for j in idx) for i in idx
     )
-    return _is_positive_definite(sub)
+    return linalg.is_positive_definite(sub)
 
 
 def _check_theta(spec, idx, allow_full=False):
@@ -194,14 +192,12 @@ def fundamental_weight(spec, j):
     """Coordinates of the fundamental weight dual to alpha_j^vee."""
     if not 1 <= j <= spec.rank:
         raise GCMError(f"index {j} out of range")
-    return tuple(spec.inverse[i][j - 1] for i in range(spec.rank))
+    return tuple(Fraction(row[j - 1], spec.det) for row in spec.adjugate)
 
 
 def weyl_vector(spec):
     """rho, the weight pairing to 1 with every simple coroot."""
-    return tuple(
-        sum(spec.inverse[i][j] for j in range(spec.rank)) for i in range(spec.rank)
-    )
+    return tuple(Fraction(sum(row), spec.det) for row in spec.adjugate)
 
 
 @dataclass(frozen=True)
@@ -221,10 +217,11 @@ def make_parabolic(spec, theta):
     if not is_finite_type(spec, idx):
         raise NotFiniteTypeLevi(f"theta {idx} has non-finite Weyl group")
     sub = tuple(tuple(spec.matrix[i - 1][j - 1] for j in idx) for i in idx)
-    coeffs = linalg.mat_solve(sub, [1] * len(idx))
+    # rho_M solves sub x = (1, ..., 1): x = adj(sub) (1, ..., 1) / det(sub)
+    adj, det = linalg.adjugate(sub)
     rho_m = [Fraction(0)] * spec.rank
-    for pos, i in enumerate(idx):
-        rho_m[i - 1] = coeffs[pos]
+    for row, i in zip(adj, idx):
+        rho_m[i - 1] = Fraction(sum(row), det)
     rho_m = tuple(rho_m)
     i_p = omega_p = rho_p = None
     if len(idx) == spec.rank - 1:

@@ -1,10 +1,12 @@
-"""Exact rational linear algebra for small dense matrices.
+"""Exact integer linear algebra for small dense matrices.
 
-Everything works on tuples of tuples of Fraction/int.  No floating
-point: the callers make sign decisions on the results.
+Everything works on tuples of tuples of ints and stays in ints:
+fraction-free (Bareiss) elimination keeps every intermediate entry an
+integer minor of the input, so each of its divisions is exact (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968).  No floating point and no Fraction:
+callers divide by det A only where a rational leaves the program.
 """
-
-from fractions import Fraction
 
 
 def identity(n):
@@ -15,66 +17,51 @@ def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def _echelon(rows, width):
-    """In-place fraction Gaussian elimination; returns (rows, pivot count, det factor)."""
+def adjugate(a):
+    """(adj A, det A) of a square integer matrix, or (None, 0) when A is
+    singular.
+
+    Fraction-free Gauss-Jordan on [A | I] with row swaps: once every
+    column is eliminated the left half is d I and the right half d (PA)^-1
+    P = d A^-1, with d = det(PA) the last pivot, so the row swaps' sign
+    turns d into det A and the right half into adj A = det(A) A^-1."""
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    sign = prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return None, 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for r, row in enumerate(rows):
+            if r != k:
+                f = row[k]
+                rows[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+
+
+def is_positive_definite(sym):
+    """Sylvester's criterion: every leading principal minor is positive.
+
+    The minors are the pivots of Bareiss elimination without row swaps;
+    it stops at the first one that is not positive."""
+    rows = [list(row) for row in sym]
     n = len(rows)
-    det = Fraction(1)
-    piv = 0
-    for col in range(width):
-        if piv == n:
-            break
-        pivot_row = next((r for r in range(piv, n) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            det = Fraction(0)
-            continue
-        if pivot_row != piv:
-            rows[piv], rows[pivot_row] = rows[pivot_row], rows[piv]
-            det = -det
-        det *= rows[piv][col]
-        inv = Fraction(1, 1) / rows[piv][col]
-        rows[piv] = [x * inv for x in rows[piv]]
-        for r in range(n):
-            if r != piv and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[piv])]
-        piv += 1
-    return rows, piv, det
-
-
-def mat_det(a):
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in a]
-    _, piv, det = _echelon(rows, n)
-    return det if piv == n else Fraction(0)
-
-
-def mat_inv(a):
-    """Exact inverse, or None if singular."""
-    n = len(a)
-    rows = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    rows, piv, _ = _echelon(rows, n)
-    if piv < n:
-        return None
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def mat_solve(a, rhs):
-    """Solve a x = rhs exactly; None if the system is singular."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(a)]
-    rows, piv, _ = _echelon(rows, n)
-    if piv < n:
-        return None
-    return tuple(rows[i][n] for i in range(n))
-
-
-def leading_principal_minors(a):
-    """Determinants of the k x k upper-left blocks, k = 1..n."""
-    n = len(a)
-    return [mat_det(tuple(tuple(a[i][j] for j in range(k)) for i in range(k)))
-            for k in range(1, n + 1)]
+    prev = 1
+    for k in range(n):
+        top = rows[k]
+        pivot = top[k]
+        if pivot <= 0:
+            return False
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+    return True

@@ -22,10 +22,11 @@ A2_FAMILY = "A2-type"   # (w1 w2)^n w1 alpha_2
 
 @dataclass(frozen=True)
 class QuadNum:
-    """x + y*sqrt(rad), x and y exact rationals, rad a positive non-square."""
+    """x + y*sqrt(rad), x and y exact rationals (ints in Z[sqrt(rad)]),
+    rad a positive non-square."""
 
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
     rad: int
 
     def __add__(self, other):
@@ -98,11 +99,11 @@ def h(n, a, b):
     if n < 0:
         raise ValueError("n must be >= 0")
     rad = a * b
-    prev = QuadNum(Fraction(0), Fraction(0), rad)
-    cur = QuadNum(Fraction(1), Fraction(0), rad)
+    prev = QuadNum(0, 0, rad)
+    cur = QuadNum(1, 0, rad)
     if n == 0:
         return prev
-    root = QuadNum(Fraction(0), Fraction(1), rad)
+    root = QuadNum(0, 1, rad)
     for _ in range(n - 1):
         prev, cur = cur, root * cur - prev
     return cur
@@ -130,15 +131,17 @@ def root_closed_form(n, kind, a, b):
 
 
 def reflection_oracle(n, kind, a, b):
-    """The same root computed by explicit alternating reflection words."""
+    """The same root computed by explicit alternating reflection words,
+    applied letter by letter from the right."""
     spec = rank2_spec(a, b)
     word = (1, 2) * n
-    target = spec.simple_root(1)
+    root = spec.simple_root(1)
     if kind == A2_FAMILY:
         word = word + (1,)
-        target = spec.simple_root(2)
-    w = weyl.word_to_element(spec, word)
-    return tuple(int(x) for x in weyl.apply(w, target))
+        root = spec.simple_root(2)
+    for i in reversed(word):
+        root = weyl.reflect_simple(spec, i, root)
+    return root
 
 
 def published_a2_coefficient(n, a, b):

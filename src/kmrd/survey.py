@@ -198,7 +198,12 @@ def _truncate_records(out_path, completed):
 def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     """Stream survey records to out_path (JSONL).  Items are processed in
     canonical order, so output is deterministic for any job count; with
-    resume=True, completed records are skipped and new ones appended."""
+    resume=True, completed records are skipped and new ones appended.
+
+    At most ``jobs`` worker processes run, and never more than the pending
+    items or the CPUs; with one worker the items run in this process."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = [
         (cs, theta, spec.max_length)
         for cs, thetas in _validated_family(spec)
@@ -213,8 +218,9 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     mode = "a" if resume else "w"
     completed = skip
     with open(out_path, mode, encoding="utf-8") as fh:
-        if jobs > 1:
-            executor = ProcessPoolExecutor(max_workers=jobs)
+        workers = min(jobs, len(pending), os.cpu_count() or 1)
+        if workers > 1:
+            executor = ProcessPoolExecutor(max_workers=workers)
             results = executor.map(_run_item, pending)
         else:
             executor = None

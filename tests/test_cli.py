@@ -176,6 +176,18 @@ def test_survey_negative_bound_is_input_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_survey_jobs_below_one_is_input_error(capsys, tmp_path):
+    out_path = tmp_path / "survey.jsonl"
+    for jobs in ("0", "-2"):
+        code, _, err = run_cli(
+            capsys, "survey", "--rank", "2", "--entry-min", "-3",
+            "--max-length", "4", "--out", str(out_path), "--jobs", jobs,
+        )
+        assert code == 2
+        assert "jobs must be >= 1" in err
+        assert not out_path.exists()
+
+
 def test_check_rd_holds(capsys, ff_path):
     code, out, _ = run_cli(
         capsys, "check", "rd", ff_path,

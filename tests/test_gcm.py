@@ -16,14 +16,13 @@ from kmrd import (
     validate_gcm,
     weyl_vector,
 )
-from kmrd.linalg import mat_det
 
 FF = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 
 
 def test_ff_matrix_accepted(ff_spec):
     assert ff_spec.symmetrizer == (1, 1, 1)
-    assert mat_det(ff_spec.matrix) == -2
+    assert ff_spec.det == -2
 
 
 def test_rank7_accepted(rank7_spec):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmrd import is_real_root
+from kmrd import apply, is_real_root, word_to_element
 from kmrd.rank2 import (
     A1_FAMILY,
     A2_FAMILY,
@@ -81,6 +81,19 @@ def test_closed_form_matches_oracle():
                 assert root_closed_form(n, kind, a, b) == reflection_oracle(
                     n, kind, a, b
                 )
+
+
+def test_reflection_oracle_matches_matrix_action():
+    # the oracle reflects letter by letter; the word's matrix gives the same
+    for a, b in GRID:
+        spec = rank2_spec(a, b)
+        for n in range(11):
+            for kind, word, target in (
+                (A1_FAMILY, (1, 2) * n, spec.simple_root(1)),
+                (A2_FAMILY, (1, 2) * n + (1,), spec.simple_root(2)),
+            ):
+                w = word_to_element(spec, word)
+                assert reflection_oracle(n, kind, a, b) == apply(w, target)
 
 
 def test_closed_form_roots_are_real():

@@ -225,3 +225,69 @@ def test_resume_after_crash_truncates_to_checkpoint(tmp_path, monkeypatch):
     completed = run_survey(spec, str(out), resume=True)
     assert completed == len(full.read_text().splitlines())
     assert out.read_bytes() == full.read_bytes()
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Puts a stand-in for ProcessPoolExecutor in place that maps in this
+    process, so no worker process ever starts; returns the list of the
+    max_workers values it was built with."""
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", FakePool)
+    return built
+
+
+def test_jobs_below_one_rejected(tmp_path, fake_pool):
+    spec = SurveySpec(rank=2, entry_min=-3, max_length=6)
+    out = tmp_path / "records.jsonl"
+    for jobs in (0, -1, -8):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_survey(spec, str(out), jobs=jobs)
+    assert not out.exists()
+    assert fake_pool == []
+
+
+def test_workers_capped_by_items_and_cpus(tmp_path, monkeypatch, fake_pool):
+    spec = SurveySpec(rank=3, entry_min=-2, max_length=3)
+    serial = tmp_path / "serial.jsonl"
+    items = run_survey(spec, str(serial), jobs=1)
+    assert 4 < items < 64
+    out = tmp_path / "records.jsonl"
+    cases = [
+        # (cpu_count, jobs, workers built or None for no pool)
+        (64, 10 ** 6, items),
+        (4, 10 ** 6, 4),
+        (64, 3, 3),
+        (1, 8, None),
+        (None, 8, None),
+        (64, 1, None),
+    ]
+    for cpus, jobs, workers in cases:
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
+        fake_pool.clear()
+        assert run_survey(spec, str(out), jobs=jobs) == items
+        assert fake_pool == ([] if workers is None else [workers])
+        assert out.read_bytes() == serial.read_bytes()
+
+
+def test_resume_of_finished_survey_starts_no_pool(tmp_path, monkeypatch,
+                                                  fake_pool):
+    spec = SurveySpec(rank=2, entry_min=-3, max_length=6)
+    out = tmp_path / "records.jsonl"
+    completed = run_survey(spec, str(out))
+    full = out.read_bytes()
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: 64)
+    assert run_survey(spec, str(out), resume=True, jobs=8) == completed
+    assert fake_pool == []
+    assert out.read_bytes() == full
