@@ -83,7 +83,7 @@ def _require_maximal(spec, theta):
 
 
 def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
-          start):
+          start, ball_size=None):
     """The bounded scan every decider runs.
 
     Calls the generator ``visit(word, vecs)`` on each nontrivial node of
@@ -91,12 +91,15 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
     collects the witnesses it yields, stopping at the first one unless
     all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
     follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``;
-    it comes from the growth series, so an over-cap bound is refused before
-    the walk starts.
+    it comes from the growth series (or from a caller that already has it,
+    as ``ball_size``), so an over-cap bound is refused before the walk
+    starts.
     """
     weyl.check_max_length(max_length)
     t0 = time.monotonic()
-    stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
+    if ball_size is None:
+        ball_size = weyl.ball_size(spec, max_length)
+    stats = {"elements_enumerated": ball_size}
     nodes = (
         node for layer in weyl.orbit_walk(spec, max_length, start)
         for node in layer
@@ -121,19 +124,28 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
 def _scaled_weight_coords(spec, vectors):
     """The weight coordinates <v, alpha_i^vee> = (A v)_i, i = 1..n, of
     root-coordinate vectors, all multiplied by the least positive integer
-    that makes them integers.  Returns (scale, tuples of ints)."""
-    coords = [
-        [Fraction(sum(a * x for a, x in zip(row, v))) for row in spec.matrix]
-        for v in vectors
-    ]
-    scale = math.lcm(*(x.denominator for c in coords for x in c))
-    return scale, [tuple(int(x * scale) for x in c) for c in coords]
+    that makes them integers.  Returns (scale, tuples of ints).
+
+    Stays in ints: with q the lcm of v's denominators, A v = u / q for the
+    integer vector u = A (q v), whose least scale is q / gcd(q, u)."""
+    scaled = []
+    for v in vectors:
+        q = math.lcm(*(x.denominator for x in v))
+        qv = [x.numerator * (q // x.denominator) for x in v]
+        u = [sum(a * x for a, x in zip(row, qv)) for row in spec.matrix]
+        g = math.gcd(q, *u)
+        scaled.append((q // g, [x // g for x in u]))
+    scale = math.lcm(*(s for s, _ in scaled))
+    return scale, [tuple(x * (scale // s) for x in u) for s, u in scaled]
 
 
-def check_rd(spec, theta, max_length, all_witnesses=False):
+def check_rd(spec, theta, max_length, all_witnesses=False, ball_size=None):
     """Decide Property RD up to the length bound via the strict-negativity
     criterion: <rho_M, alpha^vee> < 0 for every nontrivial w in W^theta
     and alpha in Phi_{w^-1}.
+
+    ``ball_size``, if given, must be ``weyl.ball_size(spec, max_length)``:
+    a caller that checks several thetas of one matrix computes it once.
 
     Runs on the orbit walk: the inversion roots of w^-1 are the roots its
     word prefixes add, each checked once at the prefix that adds it, with
@@ -186,7 +198,8 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
             }
 
     report = _scan(
-        "rd", spec, theta, max_length, all_witnesses, visit, counts, start
+        "rd", spec, theta, max_length, all_witnesses, visit, counts, start,
+        ball_size,
     )
     if not report.failed and least is not None:
         report.d_sup = Fraction(*least)

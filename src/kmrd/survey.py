@@ -32,7 +32,6 @@ class SurveySpec:
     entry_min: int            # off-diagonal entries range over [entry_min, 0]
     max_length: int
     symmetric_only: bool = False
-    require_nonsingular: bool = True
 
     def __post_init__(self):
         if not 2 <= self.rank <= 5:
@@ -83,12 +82,57 @@ def _pair_options(entry_min, symmetric_only):
                 yield (x, y)
 
 
+def _class_representatives(n, options):
+    """Yield the least member of each class of candidate matrices under
+    simultaneous row/column permutation, as a row-major flat tuple, in the
+    order of each class's first candidate.
+
+    A candidate has 2 on the diagonal and, on the t-th pair i < j of
+    ``itertools.combinations(range(n), 2)``, the entries
+    (m_ij, m_ji) = options[c_t]; its position in ``itertools.product``
+    order is the base-len(options) number c_1 ... c_P.  ``options`` must be
+    closed under (x, y) -> (y, x), so that every permuted candidate is a
+    candidate.  The first unmarked position starts a class: its orbit is
+    built once from the permutation getters, its least member is the
+    representative ``canonical_matrix`` would give, and the position of
+    every member is marked, one byte per candidate, so that no member
+    starts a class again."""
+    pairs = list(itertools.combinations(range(n), 2))
+    base = len(options)
+    index = {option: c for c, option in enumerate(options)}
+    # the flat positions of (m_ij, m_ji), pair after pair
+    entries = operator.itemgetter(
+        *(k for i, j in pairs for k in (i * n + j, j * n + i))
+    )
+    permutations = _flat_permutations(n)
+    # Marked by position, never by a set of candidate tuples: in CPython
+    # hash(-1) == hash(-2), so tuples whose entries differ only by
+    # -1 <-> -2 all share one hash and such a set degrades to long
+    # collision chains.
+    marked = bytearray(base ** len(pairs))
+    pos = marked.find(0)
+    while pos >= 0:
+        flat = [2 if i == j else 0 for i in range(n) for j in range(n)]
+        c = pos
+        for i, j in reversed(pairs):
+            c, d = divmod(c, base)
+            flat[i * n + j], flat[j * n + i] = options[d]
+        orbit = [permute(flat) for permute in permutations]
+        for member in orbit:
+            it = iter(entries(member))
+            c = 0
+            for pair in zip(it, it):
+                c = c * base + index[pair]
+            marked[c] = 1
+        yield min(orbit)
+        pos = marked.find(0, pos + 1)
+
+
 def _validated_family(spec: SurveySpec):
     """The family as (CartanSpec, thetas) pairs, in canonical matrix order."""
     n = spec.rank
-    pairs = list(itertools.combinations(range(n), 2))
-    k = -spec.entry_min
-    candidates = (1 + (k if spec.symmetric_only else k * k)) ** len(pairs)
+    options = list(_pair_options(spec.entry_min, spec.symmetric_only))
+    candidates = len(options) ** (n * (n - 1) // 2)
     cap = weyl.element_cap()
     if candidates > cap:
         raise weyl.CapExceeded(
@@ -96,19 +140,9 @@ def _validated_family(spec: SurveySpec):
             f"over the cap {cap}",
             {"candidate_matrices": candidates},
         )
-    seen = set()
     out = []
-    for choice in itertools.product(
-        list(_pair_options(spec.entry_min, spec.symmetric_only)), repeat=len(pairs)
-    ):
-        matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), (x, y) in zip(pairs, choice):
-            matrix[i][j] = x
-            matrix[j][i] = y
-        canon = canonical_matrix(matrix)
-        if canon in seen:
-            continue
-        seen.add(canon)
+    for flat in _class_representatives(n, options):
+        canon = tuple(flat[k:k + n] for k in range(0, n * n, n))
         try:
             cs = validate_gcm(canon)
         except (NotSymmetrizable, Singular, FiniteType):
@@ -131,9 +165,20 @@ def enumerate_family(spec: SurveySpec):
     return [(cs.matrix, thetas) for cs, thetas in _validated_family(spec)]
 
 
+@functools.lru_cache(maxsize=1)
+def _ball_size(cs, max_length, cap):
+    """``weyl.ball_size``, computed once for the consecutive items of one
+    matrix; the cap is part of the key, as the size is only returned under
+    it."""
+    return weyl.ball_size(cs, max_length)
+
+
 def _run_item(args):
     cs, theta, max_length = args
-    report = criteria.check_rd(cs, theta, max_length)
+    report = criteria.check_rd(
+        cs, theta, max_length,
+        ball_size=_ball_size(cs, max_length, weyl.element_cap()),
+    )
     return {
         "matrix": [list(r) for r in cs.matrix],
         "theta": list(theta),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,9 @@ from kmrd import (
     make_parabolic,
     report_to_dict,
 )
-from kmrd import weyl
-from kmrd.criteria import admissible_d
-from kmrd.gcm import matrix_hash
+from kmrd import survey, weyl
+from kmrd.criteria import _scaled_weight_coords, admissible_d
+from kmrd.gcm import NoAdmissibleD, is_finite_type, matrix_hash
 
 
 def test_rd_rank7_fails_with_known_witness(rank7_spec):
@@ -111,6 +112,47 @@ def test_admissible_d_ff(ff_spec):
         k = d.denominator - 1
         worse = [Fraction(1, k) * n + m for n, m in zip(par.omega_P, par.rho_M)]
         assert any(worse[i - 1] <= 0 for i in par.theta)
+
+
+def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec):
+    # The Fraction form the integer one replaced: (A v)_i summed as
+    # Fractions, scaled by the lcm of all their denominators.
+    def fraction_coords(spec, vectors):
+        coords = [
+            [Fraction(sum(a * x for a, x in zip(row, v)))
+             for row in spec.matrix]
+            for v in vectors
+        ]
+        scale = math.lcm(*(x.denominator for c in coords for x in c))
+        return scale, [tuple(int(x * scale) for x in c) for c in coords]
+
+    family = survey.enumerate_family(
+        survey.SurveySpec(rank=3, entry_min=-3, max_length=2)
+    )
+    specs = [ff_spec, rank7_spec] + [
+        survey.validate_gcm(matrix) for matrix, _ in family
+    ]
+    checked = 0
+    for spec in specs:
+        nodes = set(range(1, spec.rank + 1))
+        for i in nodes:
+            if not is_finite_type(spec, nodes - {i}):
+                continue
+            par = make_parabolic(spec, nodes - {i})
+            cases = [(par.omega_P, par.rho_M), (par.rho_M,)]
+            try:
+                d = admissible_d(par)
+            except NoAdmissibleD:
+                pass
+            else:
+                vec = tuple(d * n + m for n, m in zip(par.omega_P, par.rho_M))
+                cases.append((par.omega_P, vec))
+            for vectors in cases:
+                assert _scaled_weight_coords(spec, vectors) == (
+                    fraction_coords(spec, vectors)
+                )
+                checked += 1
+    assert checked > 100
 
 
 def test_lemma44_ff_holds_strictly(ff_spec):
