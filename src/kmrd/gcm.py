@@ -9,7 +9,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from . import linalg
 
@@ -85,13 +84,20 @@ def _check_gcm_axioms(matrix):
 
 def _symmetrizer(matrix):
     """Positive rationals d with diag(d) A symmetric, via Dynkin-graph traversal,
-    normalized to coprime positive integers."""
+    normalized to coprime positive integers.
+
+    The matrix must satisfy the GCM axioms, so every edge has two negative
+    entries.  Each d_j is carried as a ratio of positive integers
+    num[j]/den[j] in lowest terms, and scaled by the lcm of the
+    denominators at the end.
+    """
     n = len(matrix)
-    d = [None] * n
+    num = [0] * n
+    den = [0] * n  # 0 until the traversal reaches the node
     for start in range(n):
-        if d[start] is not None:
+        if den[start]:
             continue
-        d[start] = Fraction(1)
+        num[start] = den[start] = 1
         stack = [start]
         while stack:
             i = stack.pop()
@@ -99,17 +105,19 @@ def _symmetrizer(matrix):
                 if i == j or matrix[i][j] == 0:
                     continue
                 # d_i a_ij = d_j a_ji along every edge
-                dj = d[i] * Fraction(matrix[i][j], matrix[j][i])
-                if d[j] is None:
-                    d[j] = dj
+                p = num[i] * -matrix[i][j]
+                q = den[i] * -matrix[j][i]
+                if den[j] == 0:
+                    g = math.gcd(p, q)
+                    num[j], den[j] = p // g, q // g
                     stack.append(j)
-                elif d[j] != dj:
+                elif num[j] * q != p * den[j]:
                     raise NotSymmetrizable(
                         f"inconsistent symmetrizer constraint at edge ({i+1},{j+1})"
                     )
-    lcm = reduce(lambda x, y: x * y // math.gcd(x, y), (x.denominator for x in d), 1)
-    ints = [int(x * lcm) for x in d]
-    g = reduce(math.gcd, ints)
+    lcm = math.lcm(*den)
+    ints = [x * (lcm // y) for x, y in zip(num, den)]
+    g = math.gcd(*ints)
     d_int = tuple(x // g for x in ints)
     gram = tuple(
         tuple(d_int[i] * matrix[i][j] for j in range(n)) for i in range(n)

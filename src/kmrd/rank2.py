@@ -10,6 +10,7 @@ is sqrt(b/a) (not sqrt(a/b)).  This module carries the corrected form and
 verify_prop52 re-derives the correction against the reflection oracle.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from .gcm import validate_gcm
 
 A1_FAMILY = "A1-type"   # (w1 w2)^n alpha_1
 A2_FAMILY = "A2-type"   # (w1 w2)^n w1 alpha_2
+_DISPLAY_MAX_N = 5      # the printed A2 display is checked for n <= 5
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,17 @@ def rank2_spec(a, b, name=None):
     return validate_gcm([[2, -b], [-a, 2]], name=name or f"rank2(a={a},b={b})")
 
 
+def _h_sequence(a, b, length):
+    """[h_0, ..., h_{length-1}] as int QuadNums in Z[sqrt(ab)], from the
+    recurrence h_{n+1} = sqrt(ab) h_n - h_{n-1}, h_0=0, h_1=1."""
+    rad = a * b
+    root = QuadNum(0, 1, rad)
+    seq = [QuadNum(0, 0, rad), QuadNum(1, 0, rad)]
+    while len(seq) < length:
+        seq.append(root * seq[-1] - seq[-2])
+    return seq[:length]
+
+
 def h(n, a, b):
     """h_n from the recurrence h_{n+1} = sqrt(ab) h_n - h_{n-1}, h_0=0, h_1=1.
 
@@ -98,15 +111,18 @@ def h(n, a, b):
     _check_hyperbolic(a, b)
     if n < 0:
         raise ValueError("n must be >= 0")
-    rad = a * b
-    prev = QuadNum(0, 0, rad)
-    cur = QuadNum(1, 0, rad)
-    if n == 0:
-        return prev
-    root = QuadNum(0, 1, rad)
-    for _ in range(n - 1):
-        prev, cur = cur, root * cur - prev
-    return cur
+    return _h_sequence(a, b, n + 1)[-1]
+
+
+def _closed_form(hs, n, kind, a, b):
+    """root_closed_form read off hs = [h_0, ..., h_m], m >= 2n+2."""
+    if kind == A1_FAMILY:
+        # sqrt(a/b) * k*sqrt(ab) = k*a
+        return (hs[2 * n + 1].as_integer(), hs[2 * n].sqrt_multiple() * a)
+    if kind == A2_FAMILY:
+        # sqrt(b/a) * k*sqrt(ab) = k*b
+        return (hs[2 * n + 2].sqrt_multiple() * b, hs[2 * n + 1].as_integer())
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def root_closed_form(n, kind, a, b):
@@ -119,29 +135,32 @@ def root_closed_form(n, kind, a, b):
     _check_hyperbolic(a, b)
     if n < 0:
         raise ValueError("n must be >= 0")
+    return _closed_form(_h_sequence(a, b, 2 * n + 3), n, kind, a, b)
+
+
+def _oracle_roots(spec, kind):
+    """The family's roots for n = 0, 1, 2, ... by explicit reflections:
+    (w1 w2)^n applied to alpha_1 (A1-type) or to w1 alpha_2 (A2-type),
+    letter by letter from the right.  Each root is w1 w2 of the one
+    before, so the word for n extends the word for n-1 by one letter
+    pair."""
     if kind == A1_FAMILY:
-        # sqrt(a/b) * k*sqrt(ab) = k*a
-        return (h(2 * n + 1, a, b).as_integer(),
-                h(2 * n, a, b).sqrt_multiple() * a)
-    if kind == A2_FAMILY:
-        # sqrt(b/a) * k*sqrt(ab) = k*b
-        return (h(2 * n + 2, a, b).sqrt_multiple() * b,
-                h(2 * n + 1, a, b).as_integer())
-    raise ValueError(f"unknown family kind {kind!r}")
+        root = spec.simple_root(1)
+    elif kind == A2_FAMILY:
+        root = weyl.reflect_simple(spec, 1, spec.simple_root(2))
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    while True:
+        yield root
+        root = weyl.reflect_simple(spec, 1, weyl.reflect_simple(spec, 2, root))
 
 
 def reflection_oracle(n, kind, a, b):
     """The same root computed by explicit alternating reflection words,
     applied letter by letter from the right."""
-    spec = rank2_spec(a, b)
-    word = (1, 2) * n
-    root = spec.simple_root(1)
-    if kind == A2_FAMILY:
-        word = word + (1,)
-        root = spec.simple_root(2)
-    for i in reversed(word):
-        root = weyl.reflect_simple(spec, i, root)
-    return root
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return next(itertools.islice(_oracle_roots(rank2_spec(a, b), kind), n, None))
 
 
 def published_a2_coefficient(n, a, b):
@@ -153,34 +172,41 @@ def published_a2_coefficient(n, a, b):
     return h(2 * n + 2, a, b)
 
 
+def _display_a2_matches_oracle(printed, root, a):
+    """Whether the printed form sqrt(a/b) h_{2n+2} alpha_1 + h_{2n+2} alpha_2,
+    with printed = h_{2n+2}, agrees with the oracle root of the same n."""
+    p, q = root
+    k = printed.sqrt_multiple()  # h_{2n+2} = k*sqrt(ab)
+    alpha1_ok = k * a == p
+    alpha2_ok = printed.x == q and printed.y == 0
+    return alpha1_ok and alpha2_ok
+
+
 def _family_scan(a, b, max_n):
-    """First n where <alpha, alpha_2^vee> = 2q - a*p fails to be negative,
-    plus whether the closed form matches the reflection oracle."""
+    """One pass over n = 0..max_n: the first n where <alpha, alpha_2^vee> =
+    2q - a*p fails to be negative, whether the closed form matches the
+    reflection oracle, and whether the printed A2 display matches the
+    oracle for n <= min(max_n, _DISPLAY_MAX_N)."""
+    spec = rank2_spec(a, b)
+    hs = _h_sequence(a, b, 2 * max_n + 3)
+    oracles = [(kind, _oracle_roots(spec, kind))
+               for kind in (A1_FAMILY, A2_FAMILY)]
     first_violation = None
     closed_form_matches = True
+    display_matches = True
     for n in range(max_n + 1):
-        for kind in (A1_FAMILY, A2_FAMILY):
-            coeffs = root_closed_form(n, kind, a, b)
-            if coeffs != reflection_oracle(n, kind, a, b):
+        for kind, roots in oracles:
+            root = next(roots)
+            coeffs = _closed_form(hs, n, kind, a, b)
+            if coeffs != root:
                 closed_form_matches = False
             p, q = coeffs
             if 2 * q - a * p >= 0 and first_violation is None:
                 first_violation = {"n": n, "kind": kind, "root": [p, q]}
-    return first_violation, closed_form_matches
-
-
-def _display_a2_matches_oracle(a, b, max_n):
-    """Whether the printed form sqrt(a/b) h_{2n+2} alpha_1 + h_{2n+2} alpha_2
-    agrees with the reflection oracle on the scanned range."""
-    for n in range(max_n + 1):
-        p, q = reflection_oracle(n, A2_FAMILY, a, b)
-        printed = published_a2_coefficient(n, a, b)
-        k = printed.sqrt_multiple()  # h_{2n+2} = k*sqrt(ab)
-        alpha1_ok = k * a == p
-        alpha2_ok = printed.x == q and printed.y == 0
-        if not (alpha1_ok and alpha2_ok):
-            return False
-    return True
+            if (kind == A2_FAMILY and n <= _DISPLAY_MAX_N
+                    and not _display_a2_matches_oracle(hs[2 * n + 2], root, a)):
+                display_matches = False
+    return first_violation, closed_form_matches, display_matches
 
 
 def verify_prop52(a, b, max_n, rd_max_length=None):
@@ -197,8 +223,8 @@ def verify_prop52(a, b, max_n, rd_max_length=None):
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     spec = rank2_spec(a, b)
-    viol_2, match_2 = _family_scan(a, b, max_n)
-    viol_1, match_1 = _family_scan(b, a, max_n)
+    viol_2, match_2, display_matches = _family_scan(a, b, max_n)
+    viol_1, match_1, _ = _family_scan(b, a, max_n)
     if rd_max_length is None:
         rd_max_length = 2 * max_n + 2
     rd = {
@@ -218,9 +244,7 @@ def verify_prop52(a, b, max_n, rd_max_length=None):
         "closed_form_matches_oracle": closed_form_matches,
         "resolved_a2_coefficient": "h_{2n+1}",
         "resolved_a1_radical_factor": "sqrt(b/a)",
-        "published_display_matches_oracle": _display_a2_matches_oracle(
-            a, b, min(max_n, 5)
-        ),
+        "published_display_matches_oracle": display_matches,
         "rd_verdicts": rd,
         "rd_max_length": rd_max_length,
     }

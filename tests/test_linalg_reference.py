@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import reference_gcm
 import reference_linalg as ref
 from kmrd import gcm, linalg, rank2
 from kmrd.gcm import (
@@ -91,7 +92,7 @@ def reference_outcome(matrix):
     validate_gcm raised, or the fundamental weights, rho and, for each
     maximal theta, (rho_M, omega_P, rho_P) or NotFiniteTypeLevi."""
     try:
-        _, gram = gcm._symmetrizer(matrix)
+        _, gram = reference_gcm._symmetrizer(matrix)
     except NotSymmetrizable:
         return NotSymmetrizable
     if all(m > 0 for m in ref.leading_principal_minors(gram)):
@@ -154,6 +155,21 @@ def outcome(matrix):
     return out
 
 
+def assert_symmetrizer_matches_reference(matrix):
+    """The integer symmetrizer gives the Fraction reference's d and Gram
+    matrix, or the same NotSymmetrizable message."""
+    def run(symmetrizer):
+        try:
+            return symmetrizer(matrix)
+        except NotSymmetrizable as exc:
+            return str(exc)
+
+    got = run(gcm._symmetrizer)
+    assert got == run(reference_gcm._symmetrizer), matrix
+    if not isinstance(got, str):
+        assert all(type(x) is int for x in got[0])
+
+
 def gcm_of(n, choice):
     matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for (i, j), (x, y) in zip(itertools.combinations(range(n), 2), choice):
@@ -168,6 +184,7 @@ def test_every_small_gcm_matches_reference():
     for n in (2, 3):
         for choice in itertools.product(PAIRS, repeat=n * (n - 1) // 2):
             matrix = gcm_of(n, choice)
+            assert_symmetrizer_matches_reference(matrix)
             expected = reference_outcome(matrix)
             assert outcome(matrix) == expected, matrix
             seen.add(expected if isinstance(expected, type) else dict)
@@ -194,6 +211,7 @@ def gcms(draw):
 @settings(max_examples=200, deadline=None)
 @given(matrix=gcms())
 def test_random_gcms_match_reference(matrix):
+    assert_symmetrizer_matches_reference(matrix)
     assert outcome(matrix) == reference_outcome(matrix)
 
 

@@ -1,8 +1,10 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
-from kmrd import apply, is_real_root, word_to_element
+import reference_rank2
+from kmrd import apply, is_real_root, rank2, word_to_element
 from kmrd.rank2 import (
     A1_FAMILY,
     A2_FAMILY,
@@ -121,6 +123,11 @@ def test_hyperbolic_guard():
         h(3, 2, 2)
     with pytest.raises(ValueError):
         h(-1, 2, 3)
+    with pytest.raises(ValueError):
+        reflection_oracle(-1, A1_FAMILY, 2, 3)
+    for entry_point in (root_closed_form, reflection_oracle):
+        with pytest.raises(ValueError, match="unknown family kind"):
+            entry_point(0, "A3-type", 2, 3)
 
 
 def test_verify_prop52_ok():
@@ -158,3 +165,47 @@ def test_verify_prop52_rejects_negative_bounds():
         verify_prop52(2, 3, -1)
     with pytest.raises(ValueError, match="max_length"):
         verify_prop52(2, 3, 2, rd_max_length=-1)
+
+
+def test_verify_prop52_matches_reference(monkeypatch):
+    """Whole reports, rd cross-check included, against the frozen O(max_n^2)
+    scans for every max_n 0..40.  The grid holds (a, b) and (b, a), so both
+    orientations of each matrix are scanned as the theta=[2] family.  The
+    reference's h and reflection_oracle are pure, so caching them changes
+    only its cost."""
+    monkeypatch.setattr(reference_rank2, "h", functools.cache(reference_rank2.h))
+    monkeypatch.setattr(reference_rank2, "reflection_oracle",
+                        functools.cache(reference_rank2.reflection_oracle))
+    for a in range(2, 8):
+        for b in range(2, 8):
+            if a * b < 5:
+                continue
+            for max_n in range(41):
+                assert verify_prop52(a, b, max_n) == reference_rank2.verify_prop52(
+                    a, b, max_n
+                ), (a, b, max_n)
+
+
+def test_verify_prop52_is_one_pass(monkeypatch):
+    """verify_prop52 reads one h sequence and one growing reflection word
+    per orientation: the per-n entry points are never called, and each
+    orientation's matrix is validated once, plus once for the rd check."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-n entry point called inside verify_prop52")
+
+    for name in ("h", "root_closed_form", "reflection_oracle",
+                 "published_a2_coefficient"):
+        monkeypatch.setattr(rank2, name, refuse)
+    validated = []
+    real_validate = rank2.validate_gcm
+
+    def counting_validate(matrix, *args, **kwargs):
+        validated.append(matrix)
+        return real_validate(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(rank2, "validate_gcm", counting_validate)
+    report = verify_prop52(2, 5, 30)
+    assert report["ok"] is True
+    assert sorted(validated) == sorted([
+        [[2, -5], [-2, 2]], [[2, -5], [-2, 2]], [[2, -2], [-5, 2]],
+    ])
