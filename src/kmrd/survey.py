@@ -13,6 +13,7 @@ import itertools
 import json
 import operator
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
@@ -24,6 +25,12 @@ from .gcm import (
     is_finite_type,
     validate_gcm,
 )
+
+# Seconds between checkpoints of run_survey.  Resume cuts the records file
+# back to its checkpoint, so a hard kill costs about this much recomputed
+# work at most, where a rename after every record took about a seventh of
+# a rank-4 survey's time.
+_CHECKPOINT_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -92,18 +99,39 @@ def _class_representatives(n, options):
     (m_ij, m_ji) = options[c_t]; its position in ``itertools.product``
     order is the base-len(options) number c_1 ... c_P.  ``options`` must be
     closed under (x, y) -> (y, x), so that every permuted candidate is a
-    candidate.  The first unmarked position starts a class: its orbit is
-    built once from the permutation getters, its least member is the
-    representative ``canonical_matrix`` would give, and the position of
-    every member is marked, one byte per candidate, so that no member
-    starts a class again."""
+    candidate.  The first unmarked position starts a class: the position
+    of every member of its orbit is marked, one byte per candidate, so
+    that no member starts a class again, and its least member, built from
+    the permutation getters, is the representative ``canonical_matrix``
+    would give.
+
+    Permuting by p moves the entries of source pair (i, j) to the pair
+    (p^-1(i), p^-1(j)), transposed when p reverses their order.  So
+    ``tables[p][s][d]`` is what digit d at source pair s adds to the
+    position of the permuted candidate: the target pair's place value
+    times d, or times the index of the transposed option, and a member's
+    position is the sum of its table entries at the class's digits."""
     pairs = list(itertools.combinations(range(n), 2))
+    last = len(pairs) - 1
+    slot = {pair: t for t, pair in enumerate(pairs)}
     base = len(options)
     index = {option: c for c, option in enumerate(options)}
-    # the flat positions of (m_ij, m_ji), pair after pair
-    entries = operator.itemgetter(
-        *(k for i, j in pairs for k in (i * n + j, j * n + i))
-    )
+    straight = range(base)
+    transposed = [index[y, x] for x, y in options]
+    tables = []
+    for p in itertools.permutations(range(n)):
+        inverse = [0] * n
+        for a, i in enumerate(p):
+            inverse[i] = a
+        table = []
+        for i, j in pairs:
+            a, b = inverse[i], inverse[j]
+            if a < b:
+                weight, digit = base ** (last - slot[a, b]), straight
+            else:
+                weight, digit = base ** (last - slot[b, a]), transposed
+            table.append([weight * d for d in digit])
+        tables.append(table)
     permutations = _flat_permutations(n)
     # Marked by position, never by a set of candidate tuples: in CPython
     # hash(-1) == hash(-2), so tuples whose entries differ only by
@@ -112,19 +140,16 @@ def _class_representatives(n, options):
     marked = bytearray(base ** len(pairs))
     pos = marked.find(0)
     while pos >= 0:
-        flat = [2 if i == j else 0 for i in range(n) for j in range(n)]
+        digits = [0] * len(pairs)
         c = pos
-        for i, j in reversed(pairs):
-            c, d = divmod(c, base)
+        for t in range(last, -1, -1):
+            c, digits[t] = divmod(c, base)
+        for table in tables:
+            marked[sum(map(operator.getitem, table, digits))] = 1
+        flat = [2 if i == j else 0 for i in range(n) for j in range(n)]
+        for (i, j), d in zip(pairs, digits):
             flat[i * n + j], flat[j * n + i] = options[d]
-        orbit = [permute(flat) for permute in permutations]
-        for member in orbit:
-            it = iter(entries(member))
-            c = 0
-            for pair in zip(it, it):
-                c = c * base + index[pair]
-            marked[c] = 1
-        yield min(orbit)
+        yield min(permute(flat) for permute in permutations)
         pos = marked.find(0, pos + 1)
 
 
@@ -224,8 +249,9 @@ def _write_checkpoint(out_path, digest, completed):
 
 def _truncate_records(out_path, completed):
     """Cut the records file back to the ``completed`` lines its checkpoint
-    counts.  Each record is written before its checkpoint, so a crash
-    between the two leaves extra lines; fewer lines is an error."""
+    counts.  A checkpoint counts only lines already flushed, and records
+    are written on after it, so a crash leaves extra lines; fewer lines is
+    an error."""
     with open(out_path, "r+b") as fh:
         lines = keep = 0
         for line in fh:
@@ -246,7 +272,12 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     resume=True, completed records are skipped and new ones appended.
 
     At most ``jobs`` worker processes run, and never more than the pending
-    items or the CPUs; with one worker the items run in this process."""
+    items or the CPUs; with one worker the items run in this process.
+
+    The records are flushed and checkpointed once ``_CHECKPOINT_SECONDS``
+    have passed since the last checkpoint, and again at the end or when an
+    item raises, unless that count's checkpoint was the last one tried: a
+    failed checkpoint write is not retried, so the previous one stands."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = [
@@ -262,7 +293,15 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     pending = items[skip:]
     mode = "a" if resume else "w"
     completed = skip
+    tried = None
     with open(out_path, mode, encoding="utf-8") as fh:
+
+        def checkpoint():
+            nonlocal tried
+            tried = completed
+            fh.flush()
+            _write_checkpoint(out_path, digest, completed)
+
         workers = min(jobs, len(pending), os.cpu_count() or 1)
         if workers > 1:
             executor = ProcessPoolExecutor(max_workers=workers)
@@ -271,12 +310,18 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
             executor = None
             results = map(_run_item, pending)
         try:
+            due = time.monotonic() + _CHECKPOINT_SECONDS
             for record in results:
                 fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-                fh.flush()
                 completed += 1
-                _write_checkpoint(out_path, digest, completed)
+                if time.monotonic() >= due:
+                    checkpoint()
+                    due = time.monotonic() + _CHECKPOINT_SECONDS
         finally:
-            if executor is not None:
-                executor.shutdown()
+            try:
+                if tried != completed:
+                    checkpoint()
+            finally:
+                if executor is not None:
+                    executor.shutdown()
     return completed

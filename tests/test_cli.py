@@ -316,6 +316,19 @@ def test_survey_command(capsys, tmp_path):
     assert out_path.exists()
 
 
+def test_survey_resume_of_empty_family(capsys, tmp_path):
+    # Rank 2 with entries down to -1 has only finite-type matrices, so the
+    # survey finishes with no records; resuming it must find it finished.
+    out_path = tmp_path / "empty.jsonl"
+    argv = ("survey", "--rank", "2", "--entry-min", "-1",
+            "--max-length", "3", "--out", str(out_path))
+    for extra in ((), ("--resume",)):
+        code, _, err = run_cli(capsys, *argv, *extra)
+        assert code == 0, err
+        assert "survey complete: 0 records" in err
+        assert out_path.read_text() == ""
+
+
 def test_survey_family_over_cap(capsys, tmp_path):
     out_path = tmp_path / "survey.jsonl"
     code, _, err = run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import types
 
 import pytest
 
@@ -178,6 +179,7 @@ def test_survey_validates_each_matrix_once(tmp_path, monkeypatch):
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.setattr(survey, "_CHECKPOINT_SECONDS", 0)
     out = tmp_path / "records.jsonl"
     spec = SurveySpec(rank=2, entry_min=-3, max_length=6)
     real_dump = json.dump
@@ -204,6 +206,7 @@ def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch
 def test_resume_after_crash_truncates_to_checkpoint(tmp_path, monkeypatch):
     # The third record is written but its checkpoint write fails, so the
     # records file is one line longer than the checkpoint count.
+    monkeypatch.setattr(survey, "_CHECKPOINT_SECONDS", 0)
     spec = SurveySpec(rank=2, entry_min=-3, max_length=6)
     full = tmp_path / "full.jsonl"
     run_survey(spec, str(full))
@@ -225,6 +228,87 @@ def test_resume_after_crash_truncates_to_checkpoint(tmp_path, monkeypatch):
     completed = run_survey(spec, str(out), resume=True)
     assert completed == len(full.read_text().splitlines())
     assert out.read_bytes() == full.read_bytes()
+
+
+def _fake_clock(monkeypatch, step):
+    """Puts a clock in place of ``survey.time`` that advances ``step``
+    seconds at each reading."""
+    readings = itertools.count()
+    monkeypatch.setattr(survey, "time", types.SimpleNamespace(
+        monotonic=lambda: next(readings) * step,
+    ))
+
+
+def test_survey_r4_checkpoints_once(tmp_path, monkeypatch):
+    # The survey_r4 family, at a millisecond of clock per reading: far
+    # less than the checkpoint interval, so only the final checkpoint.
+    _fake_clock(monkeypatch, 0.001)
+    out = tmp_path / "records.jsonl"
+    checkpoint = tmp_path / "records.jsonl.checkpoint"
+    replaced = []
+    real_replace = survey.os.replace
+
+    def counting_replace(src, dst):
+        replaced.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(survey.os, "replace", counting_replace)
+    spec = SurveySpec(rank=4, entry_min=-2, max_length=4)
+    assert run_survey(spec, str(out)) == 212
+    assert replaced == [str(checkpoint)]
+    assert json.loads(checkpoint.read_text()) == {
+        "spec_hash": spec.digest(), "completed": 212,
+    }
+
+
+def test_checkpoint_counts_only_flushed_lines(tmp_path, monkeypatch):
+    spec = SurveySpec(rank=3, entry_min=-2, max_length=3)
+    full = tmp_path / "full.jsonl"
+    total = run_survey(spec, str(full))
+    expected = full.read_bytes().splitlines(keepends=True)
+    out = tmp_path / "records.jsonl"
+    counts = []
+    real_write = survey._write_checkpoint
+
+    def checked_write(out_path, digest, completed):
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert lines == expected[:completed]
+        counts.append(completed)
+        real_write(out_path, digest, completed)
+
+    monkeypatch.setattr(survey, "_write_checkpoint", checked_write)
+    _fake_clock(monkeypatch, 0.3)
+    assert run_survey(spec, str(out)) == total
+    assert 2 < len(counts) < total
+    assert counts == sorted(set(counts)) and counts[-1] == total
+    assert out.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("seconds", [0, None], ids=["every-record", "default"])
+def test_resume_after_item_raises(tmp_path, monkeypatch, seconds):
+    if seconds is not None:
+        monkeypatch.setattr(survey, "_CHECKPOINT_SECONDS", seconds)
+    spec = SurveySpec(rank=3, entry_min=-2, max_length=3)
+    full = tmp_path / "full.jsonl"
+    total = run_survey(spec, str(full))
+    real_run_item = survey._run_item
+    for k in (1, total // 2, total):
+        out = tmp_path / f"crash{k}.jsonl"
+        calls = itertools.count(1)
+
+        def run_item_or_raise(args):
+            if next(calls) == k:
+                raise RuntimeError(f"item {k}")
+            return real_run_item(args)
+
+        monkeypatch.setattr(survey, "_run_item", run_item_or_raise)
+        with pytest.raises(RuntimeError, match=f"item {k}"):
+            run_survey(spec, str(out))
+        checkpoint = tmp_path / f"crash{k}.jsonl.checkpoint"
+        assert json.loads(checkpoint.read_text())["completed"] == k - 1
+        monkeypatch.setattr(survey, "_run_item", real_run_item)
+        assert run_survey(spec, str(out), resume=True) == total
+        assert out.read_bytes() == full.read_bytes()
 
 
 @pytest.fixture

@@ -116,6 +116,23 @@ def test_representatives_are_canonical_matrices(spec):
     assert reps == expected
 
 
+@pytest.mark.parametrize(
+    "spec",
+    list(dict.fromkeys(SPECS + [
+        SurveySpec(rank=4, entry_min=-2, max_length=2),
+        SurveySpec(rank=5, entry_min=-2, max_length=2, symmetric_only=True),
+    ])),
+    ids=_spec_id,
+)
+def test_class_marking_matches_reference(spec):
+    # The digit-table marking against the frozen per-member position loop:
+    # the same representatives, in the same order.
+    options = _options(spec)
+    assert list(survey._class_representatives(spec.rank, options)) == list(
+        reference_survey._class_representatives(spec.rank, options)
+    )
+
+
 def test_survey_never_canonicalises(tmp_path, monkeypatch):
     calls = []
 
