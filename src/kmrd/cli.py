@@ -20,7 +20,7 @@ EXIT_CAP_EXCEEDED = 3
 
 def _parse_theta(text):
     try:
-        return tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
+        return tuple(sorted(int(x) for x in text.split(",") if x.strip()))
     except ValueError:
         raise GCMError(f"bad theta {text!r}; expected comma-separated indices")
 
@@ -111,7 +111,7 @@ def cmd_check(args):
         report = criteria.check_property25(
             spec, args.max_length, all_witnesses=args.all_witnesses
         )
-    _emit(criteria.report_to_dict(report, __version__), args.report)
+    _emit(criteria.report_to_dict(report), args.report)
     if getattr(args, "assert_", False) and report.failed:
         return EXIT_ASSERT_FAILED
     return EXIT_OK

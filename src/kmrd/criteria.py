@@ -13,11 +13,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import weyl
+from . import __version__, weyl
 from .gcm import (
     GCMError,
     NoAdmissibleD,
     NotMaximal,
+    _check_theta,
     make_parabolic,
     matrix_hash,
     pair_with_coroot,
@@ -51,11 +52,11 @@ def _frac(x):
     return {"num": x.numerator, "den": x.denominator}
 
 
-def report_to_dict(report, tool_version="0.1.0"):
+def report_to_dict(report):
     """Canonical JSON form: fixed key order, no timestamps in the verdict body."""
     return {
         "schema_version": 1,
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "check": report.check,
         "gcm": {
             "name": report.gcm_name,
@@ -75,6 +76,7 @@ def report_to_dict(report, tool_version="0.1.0"):
 
 def _require_maximal(spec, theta):
     theta = tuple(sorted(theta))
+    _check_theta(spec, theta)
     if len(theta) != spec.rank - 1:
         raise NotMaximal(
             f"theta {theta} is not maximal (need |theta| = rank - 1)"
@@ -83,23 +85,20 @@ def _require_maximal(spec, theta):
 
 
 def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
-          start, ball_size=None):
+          start):
     """The bounded scan every decider runs.
 
     Calls the generator ``visit(word, vecs)`` on each nontrivial node of
     ``weyl.orbit_walk`` from start, up to max_length in ShortLex order, and
     collects the witnesses it yields, stopping at the first one unless
     all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
-    follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``;
-    it comes from the growth series (or from a caller that already has it,
-    as ``ball_size``), so an over-cap bound is refused before the walk
-    starts.
+    follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``.
+    That size is ``weyl.ball_size``, the one check of the element cap, so
+    an over-cap bound is refused before the walk starts.
     """
     weyl.check_max_length(max_length)
     t0 = time.monotonic()
-    if ball_size is None:
-        ball_size = weyl.ball_size(spec, max_length)
-    stats = {"elements_enumerated": ball_size}
+    stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
     nodes = (
         node for layer in weyl.orbit_walk(spec, max_length, start)
         for node in layer
@@ -139,13 +138,10 @@ def _scaled_weight_coords(spec, vectors):
     return scale, [tuple(x * (scale // s) for x in u) for s, u in scaled]
 
 
-def check_rd(spec, theta, max_length, all_witnesses=False, ball_size=None):
+def check_rd(spec, theta, max_length, all_witnesses=False):
     """Decide Property RD up to the length bound via the strict-negativity
     criterion: <rho_M, alpha^vee> < 0 for every nontrivial w in W^theta
     and alpha in Phi_{w^-1}.
-
-    ``ball_size``, if given, must be ``weyl.ball_size(spec, max_length)``:
-    a caller that checks several thetas of one matrix computes it once.
 
     Runs on the orbit walk: the inversion roots of w^-1 are the roots its
     word prefixes add, each checked once at the prefix that adds it, with
@@ -198,8 +194,7 @@ def check_rd(spec, theta, max_length, all_witnesses=False, ball_size=None):
             }
 
     report = _scan(
-        "rd", spec, theta, max_length, all_witnesses, visit, counts, start,
-        ball_size,
+        "rd", spec, theta, max_length, all_witnesses, visit, counts, start
     )
     if not report.failed and least is not None:
         report.d_sup = Fraction(*least)

@@ -57,7 +57,6 @@ class CartanSpec:
     adjugate: tuple        # rank x rank integers, adj A = det(A) A^-1
     det: int               # det A, nonzero
     name: str | None = None
-    labels: tuple | None = None
     gram: tuple = field(default=None, repr=False)  # diag(d) @ A, symmetric
 
     def simple_root(self, i):
@@ -131,7 +130,7 @@ def _symmetrizer(matrix):
     return d_int, gram
 
 
-def validate_gcm(matrix, name=None, labels=None):
+def validate_gcm(matrix, name=None):
     """Validate a generalized Cartan matrix and assemble its CartanSpec.
 
     Rejects singular matrices and matrices of finite type (the toolkit
@@ -155,7 +154,6 @@ def validate_gcm(matrix, name=None, labels=None):
         adjugate=adj,
         det=det,
         name=name,
-        labels=tuple(labels) if labels else None,
         gram=gram,
     )
 

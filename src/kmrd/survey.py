@@ -190,20 +190,9 @@ def enumerate_family(spec: SurveySpec):
     return [(cs.matrix, thetas) for cs, thetas in _validated_family(spec)]
 
 
-@functools.lru_cache(maxsize=1)
-def _ball_size(cs, max_length, cap):
-    """``weyl.ball_size``, computed once for the consecutive items of one
-    matrix; the cap is part of the key, as the size is only returned under
-    it."""
-    return weyl.ball_size(cs, max_length)
-
-
 def _run_item(args):
     cs, theta, max_length = args
-    report = criteria.check_rd(
-        cs, theta, max_length,
-        ball_size=_ball_size(cs, max_length, weyl.element_cap()),
-    )
+    report = criteria.check_rd(cs, theta, max_length)
     return {
         "matrix": [list(r) for r in cs.matrix],
         "theta": list(theta),

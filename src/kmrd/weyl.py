@@ -12,7 +12,8 @@ asked for.
 One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
 orbit W.rho, and the minimal coset representatives W^theta, as the orbit
 of a weight whose stabiliser is W_theta.  The ball is counted, layer by
-layer, from its growth series (``growth_series``), without a walk.
+layer, from its growth series (``growth_series``), without a walk, and
+``ball_size`` checks that count against the element cap.
 """
 
 import functools
@@ -149,14 +150,14 @@ def check_max_length(max_length):
         raise GCMError(f"max_length must be >= 0, got {max_length}")
 
 
-def orbit_walk(spec, max_length, start, max_elements=None):
+def orbit_walk(spec, max_length, start):
     """Walk the orbit of the weight start[0] in integer weight coordinates.
 
     Yields the layers of lengths 1, 2, ..., max_length, stopping at the
     first empty one.  A layer is a list of nodes (word, vecs) in ShortLex
-    order, with vecs[k] = w^-1 start[k].  The node of the empty word
-    counts toward max_elements (the element cap by default); past the
-    cap, CapExceeded reports the count and the sizes of the whole layers.
+    order, with vecs[k] = w^-1 start[k].  The walk has no element cap:
+    every orbit it walks lies inside the Weyl ball, so a caller refuses an
+    over-cap bound with ``ball_size`` before it starts.
 
     Since <lambda, w(alpha_i)^vee> = (w^-1 lambda)_i, extending w by s_i
     goes up exactly when that coordinate of w^-1 start[0] is positive, and
@@ -170,8 +171,6 @@ def orbit_walk(spec, max_length, start, max_elements=None):
     start[k] to -vecs[k][i-1] of the child.
     """
     check_max_length(max_length)
-    if max_elements is None:
-        max_elements = element_cap()
     # alpha_i in weight coordinates (column i of A) by its nonzero entries:
     # reflect is reflect_weight specialised for this loop
     alphas = [
@@ -187,8 +186,6 @@ def orbit_walk(spec, max_length, start, max_elements=None):
         return tuple(out)
 
     layer = [((), tuple(start))]
-    sizes = [1]
-    count = 1
     for _ in range(max_length):
         children = {}
         for word, vecs in layer:
@@ -198,13 +195,6 @@ def orbit_walk(spec, max_length, start, max_elements=None):
                 child = reflect(vecs[0], i)
                 if child in children:
                     continue
-                count += 1
-                if count > max_elements:
-                    raise CapExceeded(
-                        f"element cap {max_elements} exceeded",
-                        {"elements_enumerated": count - 1,
-                         "layer_sizes": sizes},
-                    )
                 children[child] = (
                     word + (i + 1,),
                     (child, *[reflect(v, i) for v in vecs[1:]]),
@@ -212,27 +202,30 @@ def orbit_walk(spec, max_length, start, max_elements=None):
         if not children:
             return
         layer = list(children.values())
-        sizes.append(len(layer))
         yield layer
 
 
-def enumerate_by_length(spec, max_length, max_elements=None):
+def enumerate_by_length(spec, max_length):
     """All distinct elements of length <= max_length, as a list of layers,
-    each in ShortLex order: the walk on the orbit W.rho."""
+    each in ShortLex order: the walk on the orbit W.rho, after
+    ``ball_size`` has refused a bound past the element cap."""
+    ball_size(spec, max_length)
     layers = [[word_to_element(spec, ())]]
-    for nodes in orbit_walk(spec, max_length, (rho(spec),), max_elements):
+    for nodes in orbit_walk(spec, max_length, (rho(spec),)):
         layers.append([WeylElem(spec, word, mu) for word, (mu,) in nodes])
     return layers
 
 
 def ball_size(spec, max_length):
     """The number of elements of length <= max_length, summed from
-    ``growth_series`` without walking the ball.
+    ``growth_series`` without walking the ball.  It is the one check of
+    the element cap, and every caller of ``orbit_walk`` makes it first.
 
-    Past the element cap, CapExceeded carries the stats the walk would
-    report: the cap as ``elements_enumerated`` (the walk counts the
-    identity before its first check, so at least 1) and the sizes of the
-    whole layers before the one that crosses the cap."""
+    The cap is read on every call and never memoised.  Layers are summed
+    one at a time, so a huge L stops at the layer that crosses the cap.
+    Past the cap, CapExceeded carries the cap as ``elements_enumerated``
+    (at least 1, the identity) and the sizes of the whole layers before
+    the one that crosses it."""
     max_elements = element_cap()
     sizes = []
     total = 0
@@ -339,15 +332,33 @@ def _over_binomial(series, a):
 
 
 def _layer_sizes(spec, max_length):
-    """Yield |W_0|, ..., |W_L| for L = max_length, one at a time.
+    """Yield |W_0|, ..., |W_L| for L = max_length, one at a time: each
+    layer costs one step of the recurrence R * W = Q of ``_recurrence``,
+    whatever L is, so a caller can stop at any layer."""
+    check_max_length(max_length)
+    q, steps = _recurrence(spec, max_length)
+    sizes = []
+    for k in range(max_length + 1):
+        size = q[k] if k < len(q) else 0
+        size -= sum(x * sizes[k - i] for i, x in steps if i <= k)
+        sizes.append(size)
+        yield size
+
+
+@functools.lru_cache(maxsize=1)
+def _recurrence(spec, max_length):
+    """(Q, the nonzero (i, r_i) with i > 0) for the growth series up to
+    L = max_length.
 
     With the denominators of Macdonald's terms brought to a common Q(t),
     the product of (1 - t^m)^c_m with c_m the most factors 1 - t^m of any
     one term, Steinberg's sum is R(t)/Q(t) for a polynomial R of degree at
-    most deg Q, and W(t) = Q(t)/R(t).  Both are built truncated at degree
-    min(L, deg Q); then each layer costs one step of the recurrence
-    R * W = Q, whatever L is, so a caller can stop at any layer."""
-    check_max_length(max_length)
+    most deg Q with r_0 = 1, and W(t) = Q(t)/R(t).  Both are built
+    truncated at degree min(L, deg Q).
+
+    Nothing here depends on the element cap, so the last (spec, L) is
+    kept: the checks of one matrix and bound, such as the thetas of a
+    survey matrix, build it once."""
     # sum of (-1)^|J| over the J with the same heights, whose terms agree
     terms = {(): 1}
     for size, heights in _finite_parabolics(spec, max_length):
@@ -370,13 +381,7 @@ def _layer_sizes(spec, max_length):
             _times_binomial(term, h)
             _over_binomial(term, h + 1)
         r = [x + sign * y for x, y in zip(r, term)]
-    steps = [(i, x) for i, x in enumerate(r) if i and x]  # r[0] = 1
-    sizes = []
-    for k in range(max_length + 1):
-        size = q[k] if k <= degree else 0
-        size -= sum(x * sizes[k - i] for i, x in steps if i <= k)
-        sizes.append(size)
-        yield size
+    return tuple(q), tuple((i, x) for i, x in enumerate(r) if i and x)
 
 
 def inversion_set_of_word(spec, word):
@@ -455,7 +460,7 @@ def is_real_root(spec, v):
             return False
 
 
-def positive_real_roots_up_to_height(spec, max_height, max_roots=None):
+def positive_real_roots_up_to_height(spec, max_height):
     """All positive real roots of coordinate-sum <= max_height.
 
     Closure of the simple roots under simple reflections that stay positive
@@ -464,8 +469,7 @@ def positive_real_roots_up_to_height(spec, max_height, max_roots=None):
     """
     if max_height < 1:
         raise GCMError("max_height must be >= 1")
-    if max_roots is None:
-        max_roots = element_cap()
+    max_roots = element_cap()
     simples = [spec.simple_root(i) for i in range(1, spec.rank + 1)]
     seen = set(simples)
     queue = list(simples)

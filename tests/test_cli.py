@@ -231,6 +231,18 @@ def test_check_rejects_nonmaximal_theta(capsys, ff_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "rd"), ("check", "lemma44"), ("weyl",),
+])
+def test_repeated_theta_index_is_input_error(capsys, ff_path, argv):
+    code, out, err = run_cli(
+        capsys, *argv, ff_path, "--theta", "2,2,3", "--max-length", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "theta contains repeated indices" in err
+
+
 def test_check_prop51_report_file(capsys, ff_path, tmp_path):
     report = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -8,6 +8,7 @@ from kmrd import (
     HOLDS,
     GCMError,
     NotMaximal,
+    __version__,
     check_lemma44,
     check_prop51,
     check_property25,
@@ -192,11 +193,12 @@ def test_property25_rank2_holds():
 
 def test_report_dict_shape(ff_spec):
     report = check_rd(ff_spec, (2, 3), 6)
-    data = report_to_dict(report, "0.1.0")
+    data = report_to_dict(report)
     assert list(data) == [
         "schema_version", "tool_version", "check", "gcm", "theta",
         "max_length", "verdict", "witnesses", "d_sup", "stats", "meta",
     ]
+    assert data["tool_version"] == __version__
     assert data["check"] == "rd"
     assert data["gcm"]["sha256"] == matrix_hash(ff_spec.matrix)
     assert data["verdict"] == HOLDS

@@ -7,7 +7,9 @@ decider walks W.rho to count it."""
 
 import itertools
 import math
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -86,11 +88,11 @@ def test_cap_matches_reference(ff_spec, rank7_spec, cap, monkeypatch):
     for spec in (ff_spec, rank7_spec):
         with pytest.raises(weyl.CapExceeded) as expected:
             ref.enumerate_by_length(spec, 6, max_elements=cap)
+        monkeypatch.setenv("KMRD_MAX_ELEMENTS", str(cap))
         with pytest.raises(weyl.CapExceeded) as got:
-            weyl.enumerate_by_length(spec, 6, max_elements=cap)
+            weyl.enumerate_by_length(spec, 6)
         assert got.value.stats == expected.value.stats
         assert str(got.value) == str(expected.value)
-        monkeypatch.setenv("KMRD_MAX_ELEMENTS", str(cap))
         with pytest.raises(weyl.CapExceeded) as counted:
             weyl.ball_size(spec, 6)
         # nothing is counted past the identity at max_length 0
@@ -99,6 +101,36 @@ def test_cap_matches_reference(ff_spec, rank7_spec, cap, monkeypatch):
         monkeypatch.delenv("KMRD_MAX_ELEMENTS")
         assert counted.value.stats == expected.value.stats
         assert str(counted.value) == str(expected.value)
+
+
+def test_enumerate_by_length_refuses_the_cap_before_walking(ff_spec,
+                                                           monkeypatch):
+    with pytest.raises(weyl.CapExceeded) as expected:
+        ref.enumerate_by_length(ff_spec, 6, max_elements=52)
+
+    def no_walk(*args):
+        raise AssertionError("walked a bound past the cap")
+
+    monkeypatch.setattr(weyl, "orbit_walk", no_walk)
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "52")
+    with pytest.raises(weyl.CapExceeded) as got:
+        weyl.enumerate_by_length(ff_spec, 6)
+    assert got.value.stats == expected.value.stats
+    assert str(got.value) == str(expected.value)
+
+
+def test_ball_size_memo_never_keeps_the_cap(ff_spec, rank7_spec,
+                                            monkeypatch):
+    weyl._recurrence.cache_clear()
+    assert weyl.ball_size(ff_spec, 12) == 339
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "338")
+    with pytest.raises(weyl.CapExceeded):
+        weyl.ball_size(ff_spec, 12)
+    monkeypatch.delenv("KMRD_MAX_ELEMENTS")
+    for spec, size in ((ff_spec, 339), (rank7_spec, 51332), (ff_spec, 339)):
+        assert weyl.ball_size(spec, 12) == size
+    # a miss for the first ff, rank7 and the ff after it
+    assert weyl._recurrence.cache_info().misses == 3
 
 
 def test_ball_size_counts_the_ball(ff_spec, rank7_spec):
@@ -133,11 +165,16 @@ def test_walk_deciders_build_no_matrix(ff_spec, rank7_spec, monkeypatch):
     assert len(got[0]["witnesses"]) == 16
 
 
-def walk_sizes(spec, max_length, max_elements=None):
-    """The ball's layer sizes recounted on the walk from rho."""
+def walk_sizes(spec, max_length, cap=None):
+    """The ball's layer sizes recounted on the walk from rho, once
+    ``ball_size`` has passed the bound under cap (by default the element
+    cap already set)."""
+    env = {"KMRD_MAX_ELEMENTS": str(cap)} if cap else {}
+    with mock.patch.dict(os.environ, env):
+        weyl.ball_size(spec, max_length)
     return [1] + [
         len(layer) for layer in
-        weyl.orbit_walk(spec, max_length, (weyl.rho(spec),), max_elements)
+        weyl.orbit_walk(spec, max_length, (weyl.rho(spec),))
     ]
 
 

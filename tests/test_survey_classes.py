@@ -150,16 +150,18 @@ def test_survey_counts_each_ball_once(tmp_path, monkeypatch):
     spec = SurveySpec(rank=3, entry_min=-2, max_length=3)
     sizes = []
 
-    def counting_ball_size(cs, max_length):
+    def counting_parabolics(cs, max_roots):
         sizes.append(cs.matrix)
-        return real_ball_size(cs, max_length)
+        return real_parabolics(cs, max_roots)
 
-    real_ball_size = weyl.ball_size
-    survey._ball_size.cache_clear()
-    monkeypatch.setattr(weyl, "ball_size", counting_ball_size)
+    # _finite_parabolics runs only on a miss of the memoised growth series
+    real_parabolics = weyl._finite_parabolics
+    weyl._recurrence.cache_clear()
+    monkeypatch.setattr(weyl, "_finite_parabolics", counting_parabolics)
     family = survey.enumerate_family(spec)
     records = run_survey(spec, str(tmp_path / "records.jsonl"))
     assert records == sum(len(thetas) for _, thetas in family) > len(family)
+    assert weyl._recurrence.cache_info().misses == len(family)
     assert sizes == [matrix for matrix, _ in family]
 
 

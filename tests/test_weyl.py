@@ -163,9 +163,10 @@ def test_roots_sorted_and_real(ff_spec):
     assert all(is_real_root(ff_spec, r) for r in roots)
 
 
-def test_element_cap(ff_spec):
+def test_element_cap(ff_spec, monkeypatch):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "10")
     with pytest.raises(CapExceeded) as info:
-        enumerate_by_length(ff_spec, 6, max_elements=10)
+        enumerate_by_length(ff_spec, 6)
     assert info.value.stats["elements_enumerated"] == 10
 
 
