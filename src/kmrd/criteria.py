@@ -8,7 +8,6 @@ infinite group.
 
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,10 +92,9 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
     collects the witnesses it yields, stopping at the first one unless
     all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
     follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``.
-    That size is ``weyl.ball_size``, the one check of the element cap, so
-    an over-cap bound is refused before the walk starts.
+    That size is ``weyl.ball_size``, the one check of the element cap and
+    of a negative bound, so either is refused before the walk starts.
     """
-    weyl.check_max_length(max_length)
     t0 = time.monotonic()
     stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
     nodes = (
@@ -120,22 +118,34 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
     )
 
 
-def _scaled_weight_coords(spec, vectors):
-    """The weight coordinates <v, alpha_i^vee> = (A v)_i, i = 1..n, of
-    root-coordinate vectors, all multiplied by the least positive integer
-    that makes them integers.  Returns (scale, tuples of ints).
+def _coset_start(spec, par, shift=0):
+    """(scale, (tau, sigma)): omega_P and shift omega_P + rho_M in weight
+    coordinates, times the least positive integer that makes both integral.
+    By definition omega_P is the unit vector at i_P and rho_M is 1 on
+    theta, so the one entry that may be a fraction is sigma's at i_P,
+    x = shift + <rho_M, alpha_{i_P}^vee>, and scale is its denominator."""
+    i = par.excluded_index - 1
+    x = shift + sum(a * m for a, m in zip(spec.matrix[i], par.rho_M))
+    scale = x.denominator
+    tau = [0] * spec.rank
+    sigma = [scale] * spec.rank
+    tau[i], sigma[i] = scale, x.numerator
+    return scale, (tuple(tau), tuple(sigma))
 
-    Stays in ints: with q the lcm of v's denominators, A v = u / q for the
-    integer vector u = A (q v), whose least scale is q / gcd(q, u)."""
-    scaled = []
-    for v in vectors:
-        q = math.lcm(*(x.denominator for x in v))
-        qv = [x.numerator * (q // x.denominator) for x in v]
-        u = [sum(a * x for a, x in zip(row, qv)) for row in spec.matrix]
-        g = math.gcd(q, *u)
-        scaled.append((q // g, [x // g for x in u]))
-    scale = math.lcm(*(s for s, _ in scaled))
-    return scale, [tuple(x * (scale // s) for x in u) for s, u in scaled]
+
+def _replayed_root(spec, prefix, pairings):
+    """The root that prefix's last letter adds to Phi_{w^-1}, replayed in
+    root coordinates from the word alone.  Each (weight, pairing) of
+    ``pairings`` is what the walk gave; the first that the root's
+    ``pair_with_coroot`` contradicts is an internal error, not a witness."""
+    root = weyl.inversion_set_of_word(spec, prefix[::-1])[-1]
+    for lam, pairing in pairings:
+        if pair_with_coroot(spec, lam, root) != pairing:
+            raise GCMError(
+                f"internal invariant violated: the pairing of {lam} with the "
+                f"root {root} of word {prefix} disagrees with the orbit walk"
+            )
+    return root
 
 
 def check_rd(spec, theta, max_length, all_witnesses=False):
@@ -148,26 +158,11 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
     both pairings read off the scaled integer weight coordinates."""
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
-    scale, start = _scaled_weight_coords(spec, (par.omega_P, par.rho_M))
+    scale, start = _coset_start(spec, par)
     counts = {"coset_reps": 0, "roots_checked": 0}
     least = None  # (num, den) of the least ratio -rho/omega so far
     # word -> the failing inversion roots of w^-1, inherited by extensions
     failing = {}
-
-    def replay(word, rho, omega):
-        """Root coordinates of the root the word's last letter adds, with
-        its pairings recomputed from them and checked against the walk."""
-        root = weyl.inversion_set_of_word(spec, word[::-1])[-1]
-        pairs = (
-            pair_with_coroot(spec, par.rho_M, root),
-            pair_with_coroot(spec, par.omega_P, root),
-        )
-        if pairs != (Fraction(rho, scale), Fraction(omega, scale)):
-            raise GCMError(
-                f"internal invariant violated: pairings of the root {root} "
-                f"of word {word} disagree with the orbit walk"
-            )
-        return root, pairs
 
     def visit(word, vecs):
         nonlocal least
@@ -180,7 +175,11 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
         counts["roots_checked"] += len(word)
         bad = failing.get(word[:-1], ())
         if rho >= 0:
-            bad += (replay(word, rho, omega),)
+            pairs = (Fraction(rho, scale), Fraction(omega, scale))
+            root = _replayed_root(
+                spec, word, zip((par.rho_M, par.omega_P), pairs)
+            )
+            bad += ((root, pairs),)
         elif least is None or -rho * least[1] < least[0] * omega:
             least = (-rho, omega)
         if bad:
@@ -216,16 +215,7 @@ def check_prop51(spec, max_length, all_witnesses=False):
 
     @functools.cache  # a failing root recurs under every longer element
     def replay(prefix, i, pairing):
-        """Root coordinates of the root the prefix's last letter adds, with
-        its pairing recomputed from them and checked against its row."""
-        root = weyl.inversion_set_of_word(spec, prefix[::-1])[-1]
-        if pair_with_coroot(spec, spec.simple_root(i), root) != pairing:
-            raise GCMError(
-                f"internal invariant violated: the pairing of alpha_{i} "
-                f"with the root {root} of word {prefix} disagrees with the "
-                f"orbit walk"
-            )
-        return root
+        return _replayed_root(spec, prefix, ((spec.simple_root(i), pairing),))
 
     def visit(word, vecs):
         j = word[-1] - 1
@@ -279,10 +269,7 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     par = make_parabolic(spec, theta)
     if D is None:
         D = admissible_d(par)
-    vec = tuple(
-        D * n + m for n, m in zip(par.omega_P, par.rho_M)
-    )
-    scale, start = _scaled_weight_coords(spec, (par.omega_P, vec))
+    scale, start = _coset_start(spec, par, D)
     # |det A| A^-1 = sign(det A) adj A, an integer matrix
     q = abs(spec.det)
     inverse = [[x * q // spec.det for x in row] for row in spec.adjugate]

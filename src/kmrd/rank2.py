@@ -213,7 +213,8 @@ def verify_prop52(a, b, max_n, rd_max_length=None):
     """Check the strict sign inequalities behind the rank-2 sufficiency
     statement for both root families up to max_n, resolve the published
     coefficient discrepancy by oracle, and cross-check with the bounded
-    Property RD scan for both maximal parabolics.
+    Property RD scan for both maximal parabolics, whose bound is refused
+    by ``weyl.ball_size`` before the scans if negative or over the cap.
 
     The theta={2} parabolic is controlled by the (a, b) families against
     alpha_2; the theta={1} parabolic is the same statement with the two
@@ -223,10 +224,11 @@ def verify_prop52(a, b, max_n, rd_max_length=None):
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     spec = rank2_spec(a, b)
-    viol_2, match_2, display_matches = _family_scan(a, b, max_n)
-    viol_1, match_1, _ = _family_scan(b, a, max_n)
     if rd_max_length is None:
         rd_max_length = 2 * max_n + 2
+    weyl.ball_size(spec, rd_max_length)
+    viol_2, match_2, display_matches = _family_scan(a, b, max_n)
+    viol_1, match_1, _ = _family_scan(b, a, max_n)
     rd = {
         "theta=[2]": criteria.check_rd(spec, (2,), rd_max_length).verdict,
         "theta=[1]": criteria.check_rd(spec, (1,), rd_max_length).verdict,

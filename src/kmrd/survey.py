@@ -199,8 +199,7 @@ def _run_item(args):
         "verdict": report.verdict,
         "witness": report.witnesses[0] if report.witnesses else None,
         "d_sup": (
-            {"num": report.d_sup.numerator, "den": report.d_sup.denominator}
-            if report.d_sup is not None else None
+            criteria._frac(report.d_sup) if report.d_sup is not None else None
         ),
         "stats": report.stats,
     }
@@ -210,15 +209,23 @@ def _checkpoint_path(out_path):
     return out_path + ".checkpoint"
 
 
-def _read_checkpoint(out_path, digest):
+def _read_checkpoint(out_path, digest, total):
+    """The record count of out_path's checkpoint.  Anything but a JSON
+    object with spec_hash ``digest`` and an int count in 0..total is
+    refused with ValueError, before the records file is touched."""
     path = _checkpoint_path(out_path)
     if not os.path.exists(path):
         raise ValueError(f"no checkpoint found at {path}")
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("spec_hash") != digest:
+    if not isinstance(data, dict) or data.get("spec_hash") != digest:
         raise ValueError("checkpoint does not match the survey parameters")
-    return data["completed"]
+    completed = data.get("completed")
+    if type(completed) is not int or not 0 <= completed <= total:
+        raise ValueError(
+            f"checkpoint has completed={completed!r}, not an int in 0..{total}"
+        )
+    return completed
 
 
 def _write_checkpoint(out_path, digest, completed):
@@ -277,7 +284,7 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
     digest = spec.digest()
     skip = 0
     if resume:
-        skip = _read_checkpoint(out_path, digest)
+        skip = _read_checkpoint(out_path, digest, len(items))
         _truncate_records(out_path, skip)
     pending = items[skip:]
     mode = "a" if resume else "w"

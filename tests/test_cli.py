@@ -341,6 +341,38 @@ def test_survey_resume_of_empty_family(capsys, tmp_path):
         assert out_path.read_text() == ""
 
 
+@pytest.mark.parametrize("checkpoint", [
+    {"completed": -1},
+    {"completed": "3"},
+    {"completed": True},
+    {"completed": 21},
+    {},
+    [],
+], ids=["negative", "string", "bool", "past_end", "missing", "list"])
+def test_survey_resume_refuses_malformed_checkpoint(capsys, tmp_path,
+                                                    checkpoint):
+    # A checkpoint must be a JSON object whose "completed" is an int in
+    # 0..(number of items); anything else is an input error that leaves
+    # the records file as it was.
+    out_path = tmp_path / "survey.jsonl"
+    argv = ("survey", "--rank", "3", "--entry-min", "-2",
+            "--max-length", "2", "--out", str(out_path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert "survey complete: 20 records" in err
+    records = out_path.read_bytes()
+    ckpt_path = tmp_path / "survey.jsonl.checkpoint"
+    if isinstance(checkpoint, dict):
+        data = json.loads(ckpt_path.read_text())
+        del data["completed"]
+        checkpoint = {**data, **checkpoint}
+    ckpt_path.write_text(json.dumps(checkpoint))
+    code, _, err = run_cli(capsys, *argv, "--resume")
+    assert code == 2
+    assert "checkpoint" in err
+    assert out_path.read_bytes() == records
+
+
 def test_survey_family_over_cap(capsys, tmp_path):
     out_path = tmp_path / "survey.jsonl"
     code, _, err = run_cli(

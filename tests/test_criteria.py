@@ -17,7 +17,7 @@ from kmrd import (
     report_to_dict,
 )
 from kmrd import survey, weyl
-from kmrd.criteria import _scaled_weight_coords, admissible_d
+from kmrd.criteria import _coset_start, admissible_d
 from kmrd.gcm import NoAdmissibleD, is_finite_type, matrix_hash
 
 
@@ -59,7 +59,7 @@ def test_rd_witness_replay_must_agree_with_walk(rank7_spec, monkeypatch):
     monkeypatch.setattr(
         weyl, "inversion_set_of_word", lambda spec, word: ((1, 0, 0, 0, 0, 0, 0),)
     )
-    with pytest.raises(GCMError, match="disagree with the orbit walk"):
+    with pytest.raises(GCMError, match="disagrees with the orbit walk"):
         check_rd(rank7_spec, tuple(range(1, 7)), 6)
 
 
@@ -116,8 +116,9 @@ def test_admissible_d_ff(ff_spec):
 
 
 def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec):
-    # The Fraction form the integer one replaced: (A v)_i summed as
-    # Fractions, scaled by the lcm of all their denominators.
+    # The Fraction form the start read off the definitions replaced: the
+    # weight coordinates (A v)_i of omega_P and shift omega_P + rho_M
+    # summed as Fractions, scaled by the lcm of all their denominators.
     def fraction_coords(spec, vectors):
         coords = [
             [Fraction(sum(a * x for a, x in zip(row, v)))
@@ -125,7 +126,7 @@ def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec):
             for v in vectors
         ]
         scale = math.lcm(*(x.denominator for c in coords for x in c))
-        return scale, [tuple(int(x * scale) for x in c) for c in coords]
+        return scale, tuple(tuple(int(x * scale) for x in c) for c in coords)
 
     family = survey.enumerate_family(
         survey.SurveySpec(rank=3, entry_min=-3, max_length=2)
@@ -140,17 +141,17 @@ def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec):
             if not is_finite_type(spec, nodes - {i}):
                 continue
             par = make_parabolic(spec, nodes - {i})
-            cases = [(par.omega_P, par.rho_M), (par.rho_M,)]
+            shifts = [0]
             try:
-                d = admissible_d(par)
+                shifts.append(admissible_d(par))
             except NoAdmissibleD:
                 pass
-            else:
-                vec = tuple(d * n + m for n, m in zip(par.omega_P, par.rho_M))
-                cases.append((par.omega_P, vec))
-            for vectors in cases:
-                assert _scaled_weight_coords(spec, vectors) == (
-                    fraction_coords(spec, vectors)
+            for shift in shifts:
+                vec = tuple(
+                    shift * n + m for n, m in zip(par.omega_P, par.rho_M)
+                )
+                assert _coset_start(spec, par, shift) == (
+                    fraction_coords(spec, (par.omega_P, vec))
                 )
                 checked += 1
     assert checked > 100

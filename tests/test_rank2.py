@@ -16,6 +16,7 @@ from kmrd.rank2 import (
     root_closed_form,
     verify_prop52,
 )
+from kmrd.weyl import CapExceeded
 
 GRID = [(a, b) for a in range(2, 5) for b in range(2, 5) if a * b >= 5]
 
@@ -165,6 +166,20 @@ def test_verify_prop52_rejects_negative_bounds():
         verify_prop52(2, 3, -1)
     with pytest.raises(ValueError, match="max_length"):
         verify_prop52(2, 3, 2, rd_max_length=-1)
+
+
+def test_verify_prop52_refuses_over_cap_bound_before_scanning(monkeypatch):
+    # max_n = 60000 puts the rd bound's ball (2 L + 1 elements at
+    # L = 120002) past the default cap; the refusal must come before the
+    # family scans, which are O(max_n) big-integer passes.
+    monkeypatch.delenv("KMRD_MAX_ELEMENTS", raising=False)
+
+    def scan(*args):
+        raise AssertionError("family scan ran before the cap check")
+
+    monkeypatch.setattr(rank2, "_family_scan", scan)
+    with pytest.raises(CapExceeded):
+        verify_prop52(2, 3, 60000)
 
 
 def test_verify_prop52_matches_reference(monkeypatch):
