@@ -17,6 +17,23 @@ EXIT_ASSERT_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
+_MAX_LAYERS_SHOWN = 32
+
+
+def _describe_stats(stats):
+    """A CapExceeded's stats as printed: verbatim while ``layer_sizes`` has
+    at most _MAX_LAYERS_SHOWN entries, else with the number of layers and
+    the last size in place of the list."""
+    sizes = stats.get("layer_sizes")
+    if sizes is None or len(sizes) <= _MAX_LAYERS_SHOWN:
+        return str(stats)
+    items = (
+        f"{key!r}: <{len(value)} layers, the last of size {value[-1]}>"
+        if key == "layer_sizes" else f"{key!r}: {value!r}"
+        for key, value in stats.items()
+    )
+    return "{" + ", ".join(items) + "}"
+
 
 def _parse_theta(text):
     try:
@@ -224,7 +241,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except CapExceeded as exc:
-        print(f"error: {exc} (partial stats: {exc.stats})", file=sys.stderr)
+        print(f"error: {exc} (partial stats: {_describe_stats(exc.stats)})",
+              file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except (GCMError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

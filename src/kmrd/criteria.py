@@ -124,8 +124,10 @@ def _coset_start(spec, par, shift=0):
     By definition omega_P is the unit vector at i_P and rho_M is 1 on
     theta, so the one entry that may be a fraction is sigma's at i_P,
     x = shift + <rho_M, alpha_{i_P}^vee>, and scale is its denominator."""
+    x = shift + pair_with_coroot(
+        spec, par.rho_M, spec.simple_root(par.excluded_index)
+    )
     i = par.excluded_index - 1
-    x = shift + sum(a * m for a, m in zip(spec.matrix[i], par.rho_M))
     scale = x.denominator
     tau = [0] * spec.rank
     sigma = [scale] * spec.rank

@@ -9,6 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 
@@ -179,19 +180,40 @@ def _check_theta(spec, idx, allow_full=False):
         raise GCMError("theta must be a proper subset of the node set")
 
 
+def _gram_times(spec, mu):
+    """The Gram matrix contracted with mu: ((alpha_i | mu))_i."""
+    return [sum(map(mul, row, mu)) for row in spec.gram]
+
+
 def bilinear_form(spec, lam, mu):
-    """W-invariant symmetric form, (alpha_i | alpha_j) = d_i a_ij."""
-    g = spec.gram
-    n = spec.rank
-    return sum(lam[i] * g[i][j] * mu[j] for i in range(n) for j in range(n))
+    """W-invariant symmetric form, (alpha_i | alpha_j) = d_i a_ij.
+
+    Contracts the Gram matrix with mu first, then takes n products with
+    lam: an int for int vectors, a Fraction when an entry is one."""
+    return sum(map(mul, lam, _gram_times(spec, mu)))
+
+
+def _over_common_denominator(v):
+    """(v', l): ints v' and l, the lcm of the entries' denominators, with
+    v = v' / l.  An int entry has denominator 1."""
+    l = math.lcm(*[x.denominator for x in v])
+    return [x.numerator * (l // x.denominator) for x in v], l
 
 
 def pair_with_coroot(spec, lam, alpha):
-    """Exact <lambda, alpha^vee> = 2 (lambda|alpha) / (alpha|alpha)."""
-    norm = bilinear_form(spec, alpha, alpha)
+    """Exact <lambda, alpha^vee> = 2 (lambda|alpha) / (alpha|alpha).
+
+    With lam = lam' / l and alpha = alpha' / a over common denominators,
+    both forms are read in int off one contraction of the Gram matrix with
+    alpha', and one Fraction is built: 2 a (lam'|alpha') / (l norm'), with
+    norm' = (alpha'|alpha')."""
+    alpha, a = _over_common_denominator(alpha)
+    g_alpha = _gram_times(spec, alpha)
+    norm = sum(map(mul, alpha, g_alpha))
     if norm <= 0:
-        raise NullNorm(f"(alpha|alpha) = {norm} <= 0")
-    return Fraction(2 * bilinear_form(spec, lam, alpha), 1) / norm
+        raise NullNorm(f"(alpha|alpha) = {Fraction(norm, a * a)} <= 0")
+    lam, l = _over_common_denominator(lam)
+    return Fraction(2 * a * sum(map(mul, lam, g_alpha)), l * norm)
 
 
 def fundamental_weight(spec, j):
@@ -217,24 +239,32 @@ class ParabolicSpec:
 
 
 def make_parabolic(spec, theta):
-    """Assemble the parabolic data for a finite-type theta."""
+    """Assemble the parabolic data for a finite-type theta.
+
+    rho_M solves sub x = (1, ..., 1) on theta, sub the theta block of A,
+    so x_i = num_i / det(sub) with num the row sums of adj(sub); it is 0
+    off theta.  rho_P = rho - rho_M is built from the row sums r of adj A
+    as (r_i det(sub) - num_i det A) / (det A det(sub)).  All of it is
+    integer; each entry becomes one Fraction."""
     idx = tuple(sorted(theta))
     _check_theta(spec, idx)
     if not is_finite_type(spec, idx):
         raise NotFiniteTypeLevi(f"theta {idx} has non-finite Weyl group")
     sub = tuple(tuple(spec.matrix[i - 1][j - 1] for j in idx) for i in idx)
-    # rho_M solves sub x = (1, ..., 1): x = adj(sub) (1, ..., 1) / det(sub)
-    adj, det = linalg.adjugate(sub)
-    rho_m = [Fraction(0)] * spec.rank
+    adj, det_m = linalg.adjugate(sub)
+    num = [0] * spec.rank
     for row, i in zip(adj, idx):
-        rho_m[i - 1] = Fraction(sum(row), det)
-    rho_m = tuple(rho_m)
+        num[i - 1] = sum(row)
+    rho_m = tuple(Fraction(x, det_m) for x in num)
     i_p = omega_p = rho_p = None
     if len(idx) == spec.rank - 1:
         (i_p,) = set(range(1, spec.rank + 1)) - set(idx)
         omega_p = fundamental_weight(spec, i_p)
-        rho = weyl_vector(spec)
-        rho_p = tuple(r - m for r, m in zip(rho, rho_m))
+        det = spec.det
+        rho_p = tuple(
+            Fraction(sum(row) * det_m - x * det, det * det_m)
+            for row, x in zip(spec.adjugate, num)
+        )
     return ParabolicSpec(
         spec=spec, theta=idx, excluded_index=i_p,
         rho_M=rho_m, omega_P=omega_p, rho_P=rho_p,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kmrd import weyl
+from kmrd import load_gcm, weyl
 from kmrd.cli import main
 from kmrd.weyl import CapExceeded
 
@@ -291,6 +291,47 @@ def test_cap_exceeded_exit_code(capsys, rank7_path, monkeypatch):
     code, _, err = run_cli(capsys, "weyl", rank7_path, "--max-length", "6")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap, layers", [(63, 32), (65, 33)])
+def test_cap_stats_abbreviated_past_32_layers(capsys, tmp_path, monkeypatch,
+                                              cap, layers):
+    """The rank-2 ball has 1 + 2k elements up to length k, so the cap
+    63 stops it with 32 whole layers and 65 with 33: the first prints its
+    stats verbatim, the second gives the count and the last size."""
+    path = tmp_path / "a23.json"
+    path.write_text(json.dumps({"matrix": [[2, -2], [-3, 2]]}))
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", str(cap))
+    with pytest.raises(CapExceeded) as expected:
+        weyl.ball_size(load_gcm(path), 100)
+    stats = expected.value.stats
+    assert len(stats["layer_sizes"]) == layers
+    code, out, err = run_cli(
+        capsys, "weyl", str(path), "--max-length", "100"
+    )
+    assert code == 3
+    assert out == ""
+    if layers <= 32:
+        shown = str(stats)
+    else:
+        shown = (
+            f"{{'elements_enumerated': {cap}, "
+            f"'layer_sizes': <{layers} layers, the last of size 2>}}"
+        )
+    assert err == f"error: {expected.value} (partial stats: {shown})\n"
+
+
+def test_over_cap_rank2_verify_stderr_is_short(capsys):
+    """The rd ball of rank2 verify at --max-n 60000 has 100 000 layers
+    under the default cap; stderr says so in one short line."""
+    code, out, err = run_cli(
+        capsys, "rank2", "verify", "-a", "2", "-b", "3", "--max-n", "60000"
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.encode()) < 1024
+    assert err.startswith("error: element cap")
+    assert "'layer_sizes': <100000 layers, the last of size 2>" in err
 
 
 def test_rank2_verify(capsys):

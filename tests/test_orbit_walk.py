@@ -75,6 +75,29 @@ def test_ball_matches_reference_on_relabelled_rank7(rank7_spec):
     assert_same_ball(relabelled(rank7_spec, 7), 8, reverse=True)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_ball_matrices_step_from_the_parent(rank7_spec, monkeypatch, reverse):
+    """Only the identity folds its word; every other element of an
+    enumerated ball takes one step from its parent's matrices, whichever
+    order they are asked for in."""
+    folded = []
+    fold = weyl._fold
+
+    def recording_fold(spec, word, step):
+        folded.append(word)
+        return fold(spec, word, step)
+
+    monkeypatch.setattr(weyl, "_fold", recording_fold)
+    layers = weyl.enumerate_by_length(rank7_spec, 5)
+    for layer in reversed(layers) if reverse else layers:
+        for w in layer:
+            w.inverse, w.matrix
+    assert folded == [(), ()]
+    word = layers[5][-1].word
+    assert weyl.word_to_element(rank7_spec, word).matrix == layers[5][-1].matrix
+    assert folded == [(), (), word]
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=gcms(), max_length=st.integers(min_value=0, max_value=6),
        reverse=st.booleans())
