@@ -207,13 +207,18 @@ def check_prop51(spec, max_length, all_witnesses=False):
     alpha in Phi_{w^-1} and every simple i with w^-1(alpha_i) > 0.
 
     Walks the ball from (rho, alpha_1, ..., alpha_n) in weight coordinates,
-    alpha_i being column i of A.  Each root alpha of Phi_{w^-1} is kept as
-    its row (<alpha_i, alpha^vee>)_i, read off the node x s_j that adds it,
-    in the order the prefixes of w's word add them.  A is nonsingular, so a
-    row determines its root: i is a left ascent of w exactly when row i of
-    A, the row of alpha_i, is not among w's rows."""
+    alpha_i being column i of A.  The node w = x s_j adds one root alpha to
+    Phi_{w^-1}, read off as its row (<alpha_i, alpha^vee>)_i.  A is
+    nonsingular, so a row determines its root: i is a left ascent of w
+    exactly when row i of A, the row of alpha_i, is not among the rows of
+    Phi_{w^-1}.  Phi_{w^-1} is Phi_{x^-1} plus alpha, so w inherits x's
+    ascents, less i when alpha is alpha_i, and x's failing pairs
+    (k, i, row_k[i]) at those ascents, where row_k is the row the k-th
+    letter added; alpha's own pairs come last, with the largest k."""
     counts = {"roots_checked": 0}
-    rows = {(): ()}  # word -> the rows of Phi_{w^-1}
+    simple = {row: i for i, row in enumerate(spec.matrix)}
+    # word -> (ascents, failing pairs) of w, inherited by extensions
+    state = {(): (tuple(range(spec.rank)), ())}
 
     @functools.cache  # a failing root recurs under every longer element
     def replay(prefix, i, pairing):
@@ -221,20 +226,26 @@ def check_prop51(spec, max_length, all_witnesses=False):
 
     def visit(word, vecs):
         j = word[-1] - 1
-        phi = rows[word] = rows[word[:-1]] + (tuple(-v[j] for v in vecs[1:]),)
-        ascents = [i for i, row in enumerate(spec.matrix) if row not in phi]
-        if not ascents:
-            return
-        counts["roots_checked"] += len(phi)
-        for k, row in enumerate(phi):
-            for i in ascents:
-                if row[i] > 0:
-                    yield {
-                        "word": list(word),
-                        "root": list(replay(word[:k + 1], i + 1, row[i])),
-                        "simple_index": i + 1,
-                        "pairing": _frac(row[i]),
-                    }
+        row = tuple(-v[j] for v in vecs[1:])
+        ascents, bad = state[word[:-1]]
+        g = simple.get(row)
+        if g is not None:
+            ascents = tuple(i for i in ascents if i != g)
+            bad = tuple(pair for pair in bad if pair[1] != g)
+        k = len(word) - 1
+        bad += tuple((k, i, row[i]) for i in ascents if row[i] > 0)
+        state[word] = ascents, bad
+        # W is infinite (validate_gcm rejects finite type), so no element
+        # has every simple reflection as a left descent: ascents is never
+        # empty, and every root of Phi_{w^-1} is checked.
+        counts["roots_checked"] += len(word)
+        for k, i, pairing in bad:
+            yield {
+                "word": list(word),
+                "root": list(replay(word[:k + 1], i + 1, pairing)),
+                "simple_index": i + 1,
+                "pairing": _frac(pairing),
+            }
 
     start = (weyl.rho(spec), *zip(*spec.matrix))
     return _scan(

@@ -151,12 +151,14 @@ def verify_lemma55(max_length):
     )
     found = {}
     for witness in report.witnesses:
-        found.setdefault((witness["simple_index"], tuple(witness["root"])), {
-            "value": Fraction(
-                witness["pairing"]["num"], witness["pairing"]["den"]
-            ),
-            "first_word": witness["word"],
-        })
+        key = (witness["simple_index"], tuple(witness["root"]))
+        if key not in found:  # the pairing is fixed by (i, alpha)
+            found[key] = {
+                "value": Fraction(
+                    witness["pairing"]["num"], witness["pairing"]["den"]
+                ),
+                "first_word": witness["word"],
+            }
     expected = {(2, BETA1), (2, BETA2), (3, BETA1), (3, BETA3)}
     pairs = set(found)
     return {

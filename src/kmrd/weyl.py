@@ -26,8 +26,20 @@ DEFAULT_MAX_ELEMENTS = 200_000
 
 
 def element_cap():
+    """KMRD_MAX_ELEMENTS, or DEFAULT_MAX_ELEMENTS when it is unset or
+    empty; any other value that is not a positive integer is refused."""
     value = os.environ.get("KMRD_MAX_ELEMENTS")
-    return int(value) if value else DEFAULT_MAX_ELEMENTS
+    if not value:
+        return DEFAULT_MAX_ELEMENTS
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise GCMError(
+            f"KMRD_MAX_ELEMENTS must be a positive integer, got {value!r}"
+        )
+    return cap
 
 
 class CapExceeded(RuntimeError):

@@ -293,6 +293,31 @@ def test_cap_exceeded_exit_code(capsys, rank7_path, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+@pytest.mark.parametrize("max_length", ["0", "6"])
+def test_invalid_cap_exit_code(capsys, ff_path, monkeypatch, value,
+                               max_length):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", value)
+    code, out, err = run_cli(
+        capsys, "check", "prop51", ff_path, "--max-length", max_length
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: KMRD_MAX_ELEMENTS must be a positive integer, got {value!r}\n"
+    )
+
+
+def test_empty_cap_is_default(capsys, ff_path, monkeypatch):
+    argv = ("check", "prop51", ff_path, "--max-length", "6")
+    monkeypatch.delenv("KMRD_MAX_ELEMENTS", raising=False)
+    unset = run_cli(capsys, *argv)
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "")
+    empty = run_cli(capsys, *argv)
+    assert empty[0] == unset[0] == 0
+    assert json.loads(empty[1])["stats"] == json.loads(unset[1])["stats"]
+
+
 @pytest.mark.parametrize("cap, layers", [(63, 32), (65, 33)])
 def test_cap_stats_abbreviated_past_32_layers(capsys, tmp_path, monkeypatch,
                                               cap, layers):

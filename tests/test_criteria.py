@@ -94,6 +94,15 @@ def test_prop51_witness_replay_must_agree_with_walk(ff_spec, monkeypatch):
         check_prop51(ff_spec, 10)
 
 
+def test_prop51_ff_counts_at_length_18(ff_spec):
+    # The counts the scan gave when each node copied all its parent's rows.
+    report = check_prop51(ff_spec, 18, all_witnesses=True)
+    assert len(report.witnesses) == 836
+    assert report.stats == {
+        "elements_enumerated": 1885, "roots_checked": 28340,
+    }
+
+
 def test_prop51_rank2_holds():
     from kmrd.rank2 import rank2_spec
 

@@ -90,6 +90,30 @@ def test_lemma_scan_matches_reference():
     assert ff.verify_lemma55(10) == ref.verify_lemma55(10)
 
 
+# The lemma scan, whose nodes inherit their parent's ascents and failing
+# pairs, at larger bounds than the comparisons above.
+
+def assert_same_prop51(spec, max_length):
+    for all_witnesses in (False, True):
+        args = (spec, max_length, all_witnesses)
+        assert outcome(criteria.check_prop51, *args) == \
+            outcome(ref.check_prop51, *args), all_witnesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=gcms(), max_length=st.integers(min_value=0, max_value=7))
+def test_prop51_matches_reference_on_random_gcms(spec, max_length):
+    assert_same_prop51(spec, max_length)
+
+
+def test_prop51_matches_reference_on_ff_at_length_12(ff_spec):
+    assert_same_prop51(ff_spec, 12)
+
+
+def test_prop51_matches_reference_on_rank7_at_length_6(rank7_spec):
+    assert_same_prop51(rank7_spec, 6)
+
+
 # The orbit walk behind check_rd and check_lemma44, at larger bounds and on
 # labellings and matrices the tests above do not reach.
 

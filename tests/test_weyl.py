@@ -12,8 +12,12 @@ from kmrd import (
     reflect_simple,
     word_to_element,
 )
+from kmrd.gcm import GCMError
 from kmrd.linalg import identity
 from kmrd.weyl import (
+    DEFAULT_MAX_ELEMENTS,
+    ball_size,
+    element_cap,
     in_min_coset_reps,
     inversion_set_of_word,
     is_positive_vec,
@@ -176,6 +180,19 @@ def test_element_cap_env(ff_spec, monkeypatch):
         enumerate_by_length(ff_spec, 6)
     monkeypatch.delenv("KMRD_MAX_ELEMENTS")
     enumerate_by_length(ff_spec, 6)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_element_cap_refuses_non_positive(ff_spec, monkeypatch, value):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", value)
+    for call in (element_cap, lambda: ball_size(ff_spec, 0)):
+        with pytest.raises(GCMError, match="KMRD_MAX_ELEMENTS"):
+            call()
+
+
+def test_element_cap_empty_is_default(monkeypatch):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "")
+    assert element_cap() == DEFAULT_MAX_ELEMENTS
 
 
 def test_reflect_simple_involution(ff_spec):
