@@ -95,7 +95,7 @@ def test_prop51_witness_replay_must_agree_with_walk(ff_spec, monkeypatch):
 
 
 def test_prop51_ff_counts_at_length_18(ff_spec):
-    # The counts the scan gave when each node copied all its parent's rows.
+    # Computed before the scan inherited its state; they must not move.
     report = check_prop51(ff_spec, 18, all_witnesses=True)
     assert len(report.witnesses) == 836
     assert report.stats == {
