@@ -6,7 +6,6 @@ evidence of success, since the underlying quantifier ranges over an
 infinite group.
 """
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -47,6 +46,8 @@ class CheckReport:
 
 
 def _frac(x):
+    if type(x) is int:
+        return {"num": x, "den": 1}
     x = Fraction(x)
     return {"num": x.numerator, "den": x.denominator}
 
@@ -213,16 +214,12 @@ def check_prop51(spec, max_length, all_witnesses=False):
     exactly when row i of A, the row of alpha_i, is not among the rows of
     Phi_{w^-1}.  Phi_{w^-1} is Phi_{x^-1} plus alpha, so w inherits x's
     ascents, less i when alpha is alpha_i, and x's failing pairs
-    (k, i, row_k[i]) at those ascents, where row_k is the row the k-th
-    letter added; alpha's own pairs come last, with the largest k."""
+    (root, i, pairing) at those ascents; alpha's own pairs come last, its
+    root replayed once from the word, at this node."""
     counts = {"roots_checked": 0}
     simple = {row: i for i, row in enumerate(spec.matrix)}
     # word -> (ascents, failing pairs) of w, inherited by extensions
     state = {(): (tuple(range(spec.rank)), ())}
-
-    @functools.cache  # a failing root recurs under every longer element
-    def replay(prefix, i, pairing):
-        return _replayed_root(spec, prefix, ((spec.simple_root(i), pairing),))
 
     def visit(word, vecs):
         j = word[-1] - 1
@@ -232,17 +229,21 @@ def check_prop51(spec, max_length, all_witnesses=False):
         if g is not None:
             ascents = tuple(i for i in ascents if i != g)
             bad = tuple(pair for pair in bad if pair[1] != g)
-        k = len(word) - 1
-        bad += tuple((k, i, row[i]) for i in ascents if row[i] > 0)
+        new = [i for i in ascents if row[i] > 0]
+        if new:
+            root = _replayed_root(
+                spec, word, [(spec.simple_root(i + 1), row[i]) for i in new]
+            )
+            bad += tuple((root, i, row[i]) for i in new)
         state[word] = ascents, bad
         # W is infinite (validate_gcm rejects finite type), so no element
         # has every simple reflection as a left descent: ascents is never
         # empty, and every root of Phi_{w^-1} is checked.
         counts["roots_checked"] += len(word)
-        for k, i, pairing in bad:
+        for root, i, pairing in bad:
             yield {
                 "word": list(word),
-                "root": list(replay(word[:k + 1], i + 1, pairing)),
+                "root": list(root),
                 "simple_index": i + 1,
                 "pairing": _frac(pairing),
             }

@@ -51,7 +51,12 @@ class SurveySpec:
             )
 
     def digest(self):
-        payload = json.dumps(asdict(self), sort_keys=True)
+        """The checkpoint's hash of the spec and the element cap, on which
+        the records also depend."""
+        payload = json.dumps(
+            {**asdict(self), "max_elements": weyl.element_cap()},
+            sort_keys=True,
+        )
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -191,11 +196,23 @@ def enumerate_family(spec: SurveySpec):
 
 
 def _run_item(args):
+    """One record.  An item whose ball passes the element cap is recorded
+    as CAP_EXCEEDED, with the cap as ``elements_enumerated`` and without
+    the layer sizes, which can run to 10^5 entries."""
     cs, theta, max_length = args
-    report = criteria.check_rd(cs, theta, max_length)
-    return {
-        "matrix": [list(r) for r in cs.matrix],
-        "theta": list(theta),
+    record = {"matrix": [list(r) for r in cs.matrix], "theta": list(theta)}
+    try:
+        report = criteria.check_rd(cs, theta, max_length)
+    except weyl.CapExceeded as exc:
+        return record | {
+            "verdict": "CAP_EXCEEDED",
+            "witness": None,
+            "d_sup": None,
+            "stats": {
+                "elements_enumerated": exc.stats["elements_enumerated"]
+            },
+        }
+    return record | {
         "verdict": report.verdict,
         "witness": report.witnesses[0] if report.witnesses else None,
         "d_sup": (

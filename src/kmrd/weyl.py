@@ -17,6 +17,7 @@ layer, from its growth series (``growth_series``), without a walk, and
 """
 
 import functools
+import itertools
 import os
 
 from . import linalg
@@ -260,17 +261,16 @@ def ball_size(spec, max_length):
     The cap is read on every call and never memoised.  Layers are summed
     one at a time, so a huge L stops at the layer that crosses the cap.
     Past the cap, CapExceeded carries the cap as ``elements_enumerated``
-    (at least 1, the identity) and the sizes of the whole layers before
-    the one that crosses it."""
+    and the sizes of the whole layers before the one that crosses it."""
     max_elements = element_cap()
     sizes = []
     total = 0
     for size in _layer_sizes(spec, max_length):
         total += size
-        if sizes and total > max_elements:
+        if total > max_elements:
             raise CapExceeded(
                 f"element cap {max_elements} exceeded",
-                {"elements_enumerated": max(max_elements, 1),
+                {"elements_enumerated": max_elements,
                  "layer_sizes": sizes},
             )
         sizes.append(size)
@@ -287,9 +287,8 @@ def growth_series(spec, max_length):
     with W_J finite, N_J being the number of positive roots of W_J.
     Macdonald's formula (Math. Ann. 199, 1972) gives
     1 / W_J(t) = prod (1 - t^h) / (1 - t^(h+1)) over the heights h of
-    those roots.  A term with N_J > L is 0 mod t^(L+1), and so is the term
-    of every superset of J.  ``validate_gcm`` rejects finite type, so W is
-    infinite and no layer is empty."""
+    those roots.  A term with N_J > L is 0 mod t^(L+1).  ``validate_gcm``
+    rejects finite type, so W is infinite and no layer is empty."""
     return list(_layer_sizes(spec, max_length))
 
 
@@ -308,30 +307,16 @@ def _finite_parabolics(spec, max_roots):
     infinite, as an irreducible finite root system of rank k has at most
     k * max(k, 15) positive roots (E8 has 8 * 15, B_k and C_k have k^2, the
     most of the classical types) and a sum of them at most the sum of the
-    bounds.  Every superset of a cut-off J is skipped."""
+    bounds."""
     alphas = list(zip(*spec.matrix))
-    cut = set()
     out = []
-    for mask, nodes, below in _subsets(spec.rank):
-        heights = None
-        if not any(sub in cut for sub in below):
-            bound = min(max_roots, len(nodes) * max(len(nodes), 15))
-            heights = _closure_heights(alphas, nodes, bound)
-        if heights is None:
-            cut.add(mask)
-        else:
-            out.append((len(nodes), heights))
-    return out
-
-
-@functools.cache
-def _subsets(n):
-    """(mask, its nodes, the masks one node smaller) for the nonempty
-    subsets of range(n), each after all of its subsets."""
-    out = []
-    for mask in range(1, 1 << n):
-        nodes = [i for i in range(n) if mask >> i & 1]
-        out.append((mask, nodes, [mask ^ 1 << i for i in nodes]))
+    for k in range(1, spec.rank + 1):
+        for nodes in itertools.combinations(range(spec.rank), k):
+            heights = _closure_heights(
+                alphas, nodes, min(max_roots, k * max(k, 15))
+            )
+            if heights is not None:
+                out.append((k, heights))
     return out
 
 

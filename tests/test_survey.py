@@ -161,6 +161,43 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_item_over_cap_is_recorded_not_fatal(tmp_path, monkeypatch):
+    # At cap 200, 14 of the 20 items of this family pass the cap; each is
+    # a CAP_EXCEEDED record, and the other 6 keep their default-cap bytes.
+    spec = SurveySpec(rank=3, entry_min=-2, max_length=8)
+    full = tmp_path / "full.jsonl"
+    run_survey(spec, str(full))
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "200")
+    capped = {}
+    for jobs in (1, 2):
+        capped[jobs] = tmp_path / f"jobs{jobs}.jsonl"
+        assert run_survey(spec, str(capped[jobs]), jobs=jobs) == 20
+    assert capped[1].read_bytes() == capped[2].read_bytes()
+    pairs = list(zip(
+        capped[1].read_text().splitlines(), full.read_text().splitlines()
+    ))
+    assert len(pairs) == 20
+    over = 0
+    for line, expected in pairs:
+        record, default = json.loads(line), json.loads(expected)
+        if record["verdict"] != "CAP_EXCEEDED":
+            assert line == expected
+            continue
+        over += 1
+        assert record == {
+            "matrix": default["matrix"], "theta": default["theta"],
+            "verdict": "CAP_EXCEEDED", "witness": None, "d_sup": None,
+            "stats": {"elements_enumerated": 200},
+        }
+    assert over == 14
+    # the records depend on the cap, so a resume under another is refused
+    monkeypatch.delenv("KMRD_MAX_ELEMENTS")
+    before = capped[1].read_bytes()
+    with pytest.raises(ValueError, match="does not match"):
+        run_survey(spec, str(capped[1]), resume=True)
+    assert capped[1].read_bytes() == before
+
+
 def test_survey_validates_each_matrix_once(tmp_path, monkeypatch):
     spec = SurveySpec(rank=3, entry_min=-2, max_length=4)
     calls = []
