@@ -19,6 +19,13 @@ EXIT_CAP_EXCEEDED = 3
 
 _MAX_LAYERS_SHOWN = 32
 
+_CHECKS = {  # kind -> (decider, takes --theta); conj = factorization property
+    "rd": (criteria.check_rd, True),
+    "prop51": (criteria.check_prop51, False),
+    "conj": (criteria.check_property25, False),
+    "lemma44": (criteria.check_lemma44, True),
+}
+
 
 def _describe_stats(stats):
     """A CapExceeded's stats as printed: verbatim while ``layer_sizes`` has
@@ -84,7 +91,6 @@ def _walk_words(spec, max_length, weight):
 
 def cmd_weyl(args):
     spec = load_gcm(args.path)
-    weyl.ball_size(spec, args.max_length)  # refuse an over-cap bound first
     payload = {
         "name": spec.name,
         "max_length": args.max_length,
@@ -108,28 +114,15 @@ def cmd_weyl(args):
 
 def cmd_check(args):
     spec = load_gcm(args.path)
-    if args.kind in ("rd", "lemma44"):
-        if not args.theta:
-            raise GCMError(f"check {args.kind} requires --theta")
-        theta = _parse_theta(args.theta)
-    if args.kind == "rd":
-        report = criteria.check_rd(
-            spec, theta, args.max_length, all_witnesses=args.all_witnesses
-        )
-    elif args.kind == "lemma44":
-        report = criteria.check_lemma44(
-            spec, theta, args.max_length, all_witnesses=args.all_witnesses
-        )
-    elif args.kind == "prop51":
-        report = criteria.check_prop51(
-            spec, args.max_length, all_witnesses=args.all_witnesses
-        )
-    else:  # conj = factorization property
-        report = criteria.check_property25(
-            spec, args.max_length, all_witnesses=args.all_witnesses
-        )
+    decider, takes_theta = _CHECKS[args.kind]
+    if bool(args.theta) != takes_theta:  # "" counts as no --theta
+        need = "requires" if takes_theta else "takes no"
+        raise GCMError(f"check {args.kind} {need} --theta")
+    theta = [_parse_theta(args.theta)] if takes_theta else []
+    report = decider(spec, *theta, args.max_length,
+                     all_witnesses=args.all_witnesses)
     _emit(criteria.report_to_dict(report), args.report)
-    if getattr(args, "assert_", False) and report.failed:
+    if args.assert_ and report.failed:
         return EXIT_ASSERT_FAILED
     return EXIT_OK
 
@@ -137,7 +130,7 @@ def cmd_check(args):
 def cmd_rank2_verify(args):
     report = rank2.verify_prop52(args.a, args.b, args.max_n)
     _emit(report, args.report)
-    if getattr(args, "assert_", False) and not report["ok"]:
+    if args.assert_ and not report["ok"]:
         return EXIT_ASSERT_FAILED
     return EXIT_OK
 
@@ -148,7 +141,7 @@ def cmd_ff_verify(args):
         "parabolic_rd": ff.verify_prop56(args.max_length),
     }
     _emit(payload, args.report)
-    if getattr(args, "assert_", False) and not (
+    if args.assert_ and not (
         payload["lemma_scan"]["ok"] and payload["parabolic_rd"]["ok"]
     ):
         return EXIT_ASSERT_FAILED
@@ -194,7 +187,7 @@ def build_parser():
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("check", help="run a bounded combinatorial check")
-    p.add_argument("kind", choices=["rd", "prop51", "conj", "lemma44"])
+    p.add_argument("kind", choices=list(_CHECKS))
     p.add_argument("path")
     p.add_argument("--theta", default=None)
     p.add_argument("--max-length", type=int, required=True)

@@ -93,8 +93,8 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
     collects the witnesses it yields, stopping at the first one unless
     all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
     follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``.
-    That size is ``weyl.ball_size``, the one check of the element cap and
-    of a negative bound, so either is refused before the walk starts.
+    That size is ``weyl.ball_size``, the sum of ``weyl.growth_series``: the
+    one check of the element cap and of a negative bound, made first.
     """
     t0 = time.monotonic()
     stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}

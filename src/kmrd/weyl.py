@@ -13,7 +13,7 @@ One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
 orbit W.rho, and the minimal coset representatives W^theta, as the orbit
 of a weight whose stabiliser is W_theta.  The ball is counted, layer by
 layer, from its growth series (``growth_series``), without a walk, and
-``ball_size`` checks that count against the element cap.
+that count is the one check of the element cap.
 """
 
 import functools
@@ -190,7 +190,7 @@ def orbit_walk(spec, max_length, start):
     first empty one.  A layer is a list of nodes (word, vecs) in ShortLex
     order, with vecs[k] = w^-1 start[k].  The walk has no element cap:
     every orbit it walks lies inside the Weyl ball, so a caller refuses an
-    over-cap bound with ``ball_size`` before it starts.
+    over-cap bound with ``growth_series`` before it starts.
 
     Since <lambda, w(alpha_i)^vee> = (w^-1 lambda)_i, extending w by s_i
     goes up exactly when that coordinate of w^-1 start[0] is positive, and
@@ -241,8 +241,8 @@ def orbit_walk(spec, max_length, start):
 def enumerate_by_length(spec, max_length):
     """All distinct elements of length <= max_length, as a list of layers,
     each in ShortLex order: the walk on the orbit W.rho, after
-    ``ball_size`` has refused a bound past the element cap."""
-    ball_size(spec, max_length)
+    ``growth_series`` has refused a bound past the element cap."""
+    growth_series(spec, max_length)
     layers = [[word_to_element(spec, ())]]
     for nodes in orbit_walk(spec, max_length, (rho(spec),)):
         parents = {w.word: w for w in layers[-1]}
@@ -254,32 +254,16 @@ def enumerate_by_length(spec, max_length):
 
 
 def ball_size(spec, max_length):
-    """The number of elements of length <= max_length, summed from
-    ``growth_series`` without walking the ball.  It is the one check of
-    the element cap, and every caller of ``orbit_walk`` makes it first.
-
-    The cap is read on every call and never memoised.  Layers are summed
-    one at a time, so a huge L stops at the layer that crosses the cap.
-    Past the cap, CapExceeded carries the cap as ``elements_enumerated``
-    and the sizes of the whole layers before the one that crosses it."""
-    max_elements = element_cap()
-    sizes = []
-    total = 0
-    for size in _layer_sizes(spec, max_length):
-        total += size
-        if total > max_elements:
-            raise CapExceeded(
-                f"element cap {max_elements} exceeded",
-                {"elements_enumerated": max_elements,
-                 "layer_sizes": sizes},
-            )
-        sizes.append(size)
-    return total
+    """The number of elements of length <= max_length: the sum of
+    ``growth_series``, which refuses a bound past the element cap."""
+    return sum(growth_series(spec, max_length))
 
 
 def growth_series(spec, max_length):
     """The layer sizes [1, |W_1|, ..., |W_L|], L = max_length, of the
-    Weyl ball, where W_k holds the elements of length k.
+    Weyl ball, where W_k holds the elements of length k.  It is the one
+    check of the element cap, and every caller of ``orbit_walk`` makes it
+    first.
 
     Steinberg's formula (Humphreys, Reflection Groups and Coxeter Groups,
     5.12) gives, for infinite W, the growth series W(t) as the inverse of
@@ -288,8 +272,30 @@ def growth_series(spec, max_length):
     Macdonald's formula (Math. Ann. 199, 1972) gives
     1 / W_J(t) = prod (1 - t^h) / (1 - t^(h+1)) over the heights h of
     those roots.  A term with N_J > L is 0 mod t^(L+1).  ``validate_gcm``
-    rejects finite type, so W is infinite and no layer is empty."""
-    return list(_layer_sizes(spec, max_length))
+    rejects finite type, so W is infinite and no layer is empty.
+
+    The cap is read on every call and never memoised.  Each layer costs
+    one step of the recurrence R * W = Q of ``_recurrence``, whatever L
+    is, so a huge L stops at the layer that crosses the cap.  Past the
+    cap, CapExceeded carries the cap as ``elements_enumerated`` and the
+    sizes of the whole layers before the one that crosses it."""
+    max_elements = element_cap()
+    check_max_length(max_length)
+    q, steps = _recurrence(spec, max_length)
+    sizes = []
+    total = 0
+    for k in range(max_length + 1):
+        size = q[k] if k < len(q) else 0
+        size -= sum(x * sizes[k - i] for i, x in steps if i <= k)
+        total += size
+        if total > max_elements:
+            raise CapExceeded(
+                f"element cap {max_elements} exceeded",
+                {"elements_enumerated": max_elements,
+                 "layer_sizes": sizes},
+            )
+        sizes.append(size)
+    return sizes
 
 
 def _finite_parabolics(spec, max_roots):
@@ -350,20 +356,6 @@ def _over_binomial(series, a):
     """series / (1 - t^a), in place, truncated at its length."""
     for d in range(a, len(series)):
         series[d] += series[d - a]
-
-
-def _layer_sizes(spec, max_length):
-    """Yield |W_0|, ..., |W_L| for L = max_length, one at a time: each
-    layer costs one step of the recurrence R * W = Q of ``_recurrence``,
-    whatever L is, so a caller can stop at any layer."""
-    check_max_length(max_length)
-    q, steps = _recurrence(spec, max_length)
-    sizes = []
-    for k in range(max_length + 1):
-        size = q[k] if k < len(q) else 0
-        size -= sum(x * sizes[k - i] for i, x in steps if i <= k)
-        sizes.append(size)
-        yield size
 
 
 @functools.lru_cache(maxsize=1)
@@ -494,7 +486,6 @@ def positive_real_roots_up_to_height(spec, max_height):
     simples = [spec.simple_root(i) for i in range(1, spec.rank + 1)]
     seen = set(simples)
     queue = list(simples)
-    out = list(simples)
     while queue:
         v = queue.pop()
         for i in range(1, spec.rank + 1):
@@ -507,6 +498,5 @@ def positive_real_roots_up_to_height(spec, max_height):
                     f"root cap {max_roots} exceeded", {"roots": len(seen) - 1}
                 )
             queue.append(u)
-            out.append(u)
-    return sorted(out, key=lambda r: (sum(r), r))
+    return sorted(seen, key=lambda r: (sum(r), r))
 

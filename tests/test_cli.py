@@ -224,6 +224,24 @@ def test_check_requires_theta(capsys, ff_path):
     assert "theta" in err
 
 
+# rd and lemma44 require --theta, prop51 and conj refuse it; "" is none
+@pytest.mark.parametrize("kind,theta,err", [
+    ("rd", ["--theta", ""], "error: check rd requires --theta\n"),
+    ("lemma44", [], "error: check lemma44 requires --theta\n"),
+    ("lemma44", ["--theta", ""], "error: check lemma44 requires --theta\n"),
+    ("prop51", ["--theta", "9,9"], "error: check prop51 takes no --theta\n"),
+    ("conj", ["--theta", "2,3"], "error: check conj takes no --theta\n"),
+    ("prop51", ["--theta", ""], ""),
+    ("conj", ["--theta", ""], ""),
+])
+def test_check_theta_by_kind(capsys, ff_path, kind, theta, err):
+    code, out, got = run_cli(
+        capsys, "check", kind, ff_path, *theta, "--max-length", "4"
+    )
+    assert (code, got) == ((2, err) if err else (0, ""))
+    assert (out == "") == bool(err)
+
+
 def test_check_rejects_nonmaximal_theta(capsys, ff_path):
     code, _, err = run_cli(
         capsys, "check", "rd", ff_path, "--theta", "3", "--max-length", "4"

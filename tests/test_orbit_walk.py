@@ -119,12 +119,15 @@ def test_cap_matches_reference(ff_spec, rank7_spec, cap, monkeypatch):
         assert str(got.value) == str(expected.value)
         with pytest.raises(weyl.CapExceeded) as counted:
             weyl.ball_size(spec, 6)
+        with pytest.raises(weyl.CapExceeded) as series:
+            weyl.growth_series(spec, 6)
         # nothing is counted past the identity at max_length 0
         assert len(ref.enumerate_by_length(spec, 0, max_elements=cap)) == 1
         assert weyl.ball_size(spec, 0) == 1
         monkeypatch.delenv("KMRD_MAX_ELEMENTS")
-        assert counted.value.stats == expected.value.stats
-        assert str(counted.value) == str(expected.value)
+        for refused in (counted, series):
+            assert refused.value.stats == expected.value.stats
+            assert str(refused.value) == str(expected.value)
 
 
 def test_enumerate_by_length_refuses_the_cap_before_walking(ff_spec,
