@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, criteria, ff, rank2, survey, weyl
+from . import __version__, criteria, ff, rank2, weyl
 from .gcm import GCMError, load_gcm, make_parabolic
 from .weyl import CapExceeded
 
@@ -149,6 +149,9 @@ def cmd_ff_verify(args):
 
 
 def cmd_survey(args):
+    # Imported here: the other commands never load the survey.
+    from . import survey
+
     spec = survey.SurveySpec(
         rank=args.rank,
         entry_min=args.entry_min,

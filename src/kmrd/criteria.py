@@ -218,13 +218,17 @@ def check_prop51(spec, max_length, all_witnesses=False):
     root replayed once from the word, at this node."""
     counts = {"roots_checked": 0}
     simple = {row: i for i, row in enumerate(spec.matrix)}
-    # word -> (ascents, failing pairs) of w, inherited by extensions
-    state = {(): (tuple(range(spec.rank)), ())}
+    # word -> (ascents, failing pairs) of w, inherited by extensions.  The
+    # walk goes layer by layer, so only the parents' layer is kept.
+    length, parents, layer = 0, None, {(): (tuple(range(spec.rank)), ())}
 
     def visit(word, vecs):
+        nonlocal length, parents, layer
+        if len(word) > length:
+            length, parents, layer = len(word), layer, {}
         j = word[-1] - 1
         row = tuple(-v[j] for v in vecs[1:])
-        ascents, bad = state[word[:-1]]
+        ascents, bad = parents[word[:-1]]
         g = simple.get(row)
         if g is not None:
             ascents = tuple(i for i in ascents if i != g)
@@ -235,7 +239,7 @@ def check_prop51(spec, max_length, all_witnesses=False):
                 spec, word, [(spec.simple_root(i + 1), row[i]) for i in new]
             )
             bad += tuple((root, i, row[i]) for i in new)
-        state[word] = ascents, bad
+        layer[word] = ascents, bad
         # W is infinite (validate_gcm rejects finite type), so no element
         # has every simple reflection as a left descent: ascents is never
         # empty, and every root of Phi_{w^-1} is checked.

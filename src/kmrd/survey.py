@@ -14,7 +14,6 @@ import json
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 from . import criteria, weyl
@@ -31,6 +30,15 @@ from .gcm import (
 # work at most, where a rename after every record took about a seventh of
 # a rank-4 survey's time.
 _CHECKPOINT_SECONDS = 1.0
+
+
+def ProcessPoolExecutor(max_workers):
+    """The worker pool of ``run_survey``.  concurrent.futures, and with it
+    multiprocessing, is imported here, on the first pool a process starts,
+    so that a process which never starts one does not load them."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 @dataclass(frozen=True)
@@ -286,6 +294,7 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
 
     At most ``jobs`` worker processes run, and never more than the pending
     items or the CPUs; with one worker the items run in this process.
+    Workers take the items in chunks, about four per worker.
 
     The records are flushed and checkpointed once ``_CHECKPOINT_SECONDS``
     have passed since the last checkpoint, and again at the end or when an
@@ -318,7 +327,11 @@ def run_survey(spec: SurveySpec, out_path, resume=False, jobs=1):
         workers = min(jobs, len(pending), os.cpu_count() or 1)
         if workers > 1:
             executor = ProcessPoolExecutor(max_workers=workers)
-            results = executor.map(_run_item, pending)
+            # About four chunks per worker: one item per round trip costs
+            # more than a short item's check, and a few chunks each still
+            # even out items of unequal length.
+            chunksize = max(1, len(pending) // (4 * workers))
+            results = executor.map(_run_item, pending, chunksize=chunksize)
         else:
             executor = None
             results = map(_run_item, pending)

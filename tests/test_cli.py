@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -466,6 +470,49 @@ def test_survey_family_over_cap(capsys, tmp_path):
     assert code == 3
     assert str(26 ** 10) in err
     assert not out_path.exists()
+
+
+# Run in a fresh interpreter, since this process may hold the modules
+# already.  Prints, after each step, which of the watched modules are
+# loaded.
+COLD_START = """
+import contextlib, io, json, sys
+watched = ("concurrent.futures", "multiprocessing", "kmrd.survey")
+loaded = {}
+def note(step):
+    loaded[step] = [name for name in watched if name in sys.modules]
+import kmrd.cli
+note("import kmrd.cli")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kmrd.cli.main(["check", "rd", "inputs/ff.json", "--theta", "2,3",
+                          "--max-length", "4"])
+assert code == 0, code
+note("check rd")
+import kmrd.survey
+note("import kmrd.survey")
+code = kmrd.cli.main(["survey", "--rank", "2", "--entry-min", "-3",
+                      "--max-length", "2", "--jobs", "1",
+                      "--out", sys.argv[1]])
+assert code == 0, code
+note("survey --jobs 1")
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path / "survey.jsonl")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import kmrd.cli": [],
+        "check rd": [],
+        "import kmrd.survey": ["kmrd.survey"],
+        "survey --jobs 1": ["kmrd.survey"],
+    }
 
 
 def test_version(capsys):

@@ -351,22 +351,24 @@ def test_resume_after_item_raises(tmp_path, monkeypatch, seconds):
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Puts a stand-in for ProcessPoolExecutor in place that maps in this
-    process, so no worker process ever starts; returns the list of the
-    max_workers values it was built with."""
-    built = []
+    process, so no worker process ever starts; returns the lists of the
+    max_workers values it was built with and of the chunk sizes its map
+    was given."""
+    calls = types.SimpleNamespace(workers=[], chunksizes=[])
 
     class FakePool:
         def __init__(self, max_workers):
-            built.append(max_workers)
+            calls.workers.append(max_workers)
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            calls.chunksizes.append(chunksize)
             return map(fn, items)
 
         def shutdown(self):
             pass
 
     monkeypatch.setattr(survey, "ProcessPoolExecutor", FakePool)
-    return built
+    return calls
 
 
 def test_jobs_below_one_rejected(tmp_path, fake_pool):
@@ -376,29 +378,35 @@ def test_jobs_below_one_rejected(tmp_path, fake_pool):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_survey(spec, str(out), jobs=jobs)
     assert not out.exists()
-    assert fake_pool == []
+    assert fake_pool.workers == []
 
 
 def test_workers_capped_by_items_and_cpus(tmp_path, monkeypatch, fake_pool):
     spec = SurveySpec(rank=3, entry_min=-2, max_length=3)
     serial = tmp_path / "serial.jsonl"
     items = run_survey(spec, str(serial), jobs=1)
-    assert 4 < items < 64
+    # At least 16 items, so that two workers take chunks of two or more.
+    assert 16 <= items < 64
     out = tmp_path / "records.jsonl"
     cases = [
-        # (cpu_count, jobs, workers built or None for no pool)
-        (64, 10 ** 6, items),
-        (4, 10 ** 6, 4),
-        (64, 3, 3),
-        (1, 8, None),
-        (None, 8, None),
-        (64, 1, None),
+        # (cpu_count, jobs, workers built or None for no pool, chunk size)
+        (64, 10 ** 6, items, 1),
+        (4, 10 ** 6, 4, items // 16),
+        (64, 3, 3, items // 12),
+        (64, 2, 2, items // 8),
+        (1, 8, None, None),
+        (None, 8, None, None),
+        (64, 1, None, None),
     ]
-    for cpus, jobs, workers in cases:
+    for cpus, jobs, workers, chunksize in cases:
         monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
-        fake_pool.clear()
+        fake_pool.workers.clear()
+        fake_pool.chunksizes.clear()
         assert run_survey(spec, str(out), jobs=jobs) == items
-        assert fake_pool == ([] if workers is None else [workers])
+        assert fake_pool.workers == ([] if workers is None else [workers])
+        assert fake_pool.chunksizes == (
+            [] if chunksize is None else [chunksize]
+        )
         assert out.read_bytes() == serial.read_bytes()
 
 
@@ -410,5 +418,5 @@ def test_resume_of_finished_survey_starts_no_pool(tmp_path, monkeypatch,
     full = out.read_bytes()
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 64)
     assert run_survey(spec, str(out), resume=True, jobs=8) == completed
-    assert fake_pool == []
+    assert fake_pool.workers == []
     assert out.read_bytes() == full
