@@ -84,27 +84,45 @@ def _require_maximal(spec, theta):
     return theta
 
 
-def _scan(check, spec, theta, max_length, all_witnesses, visit, counts,
-          start):
+def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
+          first=None, node_key=None, length_key=None):
     """The bounded scan every decider runs.
 
-    Calls the generator ``visit(word, vecs)`` on each nontrivial node of
-    ``weyl.orbit_walk`` from start, up to max_length in ShortLex order, and
-    collects the witnesses it yields, stopping at the first one unless
-    all_witnesses.  ``visit`` keeps its own counters in ``counts``; they
-    follow ``elements_enumerated``, the size of the Weyl ball, in ``stats``.
-    That size is ``weyl.ball_size``, the sum of ``weyl.growth_series``: the
-    one check of the element cap and of a negative bound, made first.
+    Runs the generator ``visit(word, vecs, inherited)`` on each nontrivial
+    node of ``weyl.orbit_walk`` from start, up to max_length in ShortLex
+    order, and collects the witnesses it yields, stopping at the first one
+    unless all_witnesses.  visit returns the node's state; ``inherited`` is
+    its parent's (word less the last letter), ``first`` for the identity.
+    The walk goes layer by layer, so only the parents' layer is kept.
+    ``stats`` holds ``elements_enumerated`` from ``weyl.ball_size``, the
+    one check of the element cap and of a negative bound, made first; then
+    the nodes visited under node_key, their lengths' sum under length_key.
     """
     t0 = time.monotonic()
     stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
-    nodes = (
-        node for layer in weyl.orbit_walk(spec, max_length, start)
-        for node in layer
-    )
-    found = (witness for node in nodes for witness in visit(*node))
-    witnesses = list(found if all_witnesses else itertools.islice(found, 1))
-    stats.update(counts)
+    nodes = letters = 0
+
+    def found():
+        nonlocal nodes, letters
+        below = {(): first}
+        for layer in weyl.orbit_walk(spec, max_length, start):
+            states = {}
+            for word, vecs in layer:
+                # Counted before its witnesses, up to the early stop.  The
+                # lengths are roots_checked: check_rd checks each root of
+                # Phi_{w^-1} at the prefix that adds it and inherits it had
+                # it failed; in check_prop51, W is infinite (validate_gcm
+                # rejects finite type), so no w has every s_i as a left
+                # descent, and ascents is never empty.
+                nodes += 1
+                letters += len(word)
+                states[word] = yield from visit(word, vecs, below[word[:-1]])
+            below = states
+
+    witnesses = list(itertools.islice(found(), None if all_witnesses else 1))
+    for key, count in ((node_key, nodes), (length_key, letters)):
+        if key:
+            stats[key] = count
     return CheckReport(
         check=check,
         gcm_name=spec.name,
@@ -162,21 +180,13 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
     scale, start = _coset_start(spec, par)
-    counts = {"coset_reps": 0, "roots_checked": 0}
     least = None  # (num, den) of the least ratio -rho/omega so far
-    # word -> the failing inversion roots of w^-1, inherited by extensions
-    failing = {}
 
-    def visit(word, vecs):
+    def visit(word, vecs, bad):  # bad: the parent's failing roots
         nonlocal least
         tau, sigma = vecs
         i = word[-1] - 1
         omega, rho = -tau[i], -sigma[i]
-        counts["coset_reps"] += 1
-        # Every earlier root was checked at a prefix: had one failed, the
-        # scan would have stopped there or inherited it below.
-        counts["roots_checked"] += len(word)
-        bad = failing.get(word[:-1], ())
         if rho >= 0:
             pairs = (Fraction(rho, scale), Fraction(omega, scale))
             root = _replayed_root(
@@ -185,8 +195,6 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
             bad += ((root, pairs),)
         elif least is None or -rho * least[1] < least[0] * omega:
             least = (-rho, omega)
-        if bad:
-            failing[word] = bad
         for root, (rho_pair, omega_pair) in bad:
             yield {
                 "word": list(word),
@@ -194,9 +202,11 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
                 "rho_M_pairing": _frac(rho_pair),
                 "omega_P_pairing": _frac(omega_pair),
             }
+        return bad
 
     report = _scan(
-        "rd", spec, theta, max_length, all_witnesses, visit, counts, start
+        "rd", spec, theta, max_length, all_witnesses, visit, start, (),
+        "coset_reps", "roots_checked",
     )
     if not report.failed and least is not None:
         report.d_sup = Fraction(*least)
@@ -216,19 +226,12 @@ def check_prop51(spec, max_length, all_witnesses=False):
     ascents, less i when alpha is alpha_i, and x's failing pairs
     (root, i, pairing) at those ascents; alpha's own pairs come last, its
     root replayed once from the word, at this node."""
-    counts = {"roots_checked": 0}
     simple = {row: i for i, row in enumerate(spec.matrix)}
-    # word -> (ascents, failing pairs) of w, inherited by extensions.  The
-    # walk goes layer by layer, so only the parents' layer is kept.
-    length, parents, layer = 0, None, {(): (tuple(range(spec.rank)), ())}
 
-    def visit(word, vecs):
-        nonlocal length, parents, layer
-        if len(word) > length:
-            length, parents, layer = len(word), layer, {}
+    def visit(word, vecs, inherited):
+        ascents, bad = inherited  # of the parent x
         j = word[-1] - 1
         row = tuple(-v[j] for v in vecs[1:])
-        ascents, bad = parents[word[:-1]]
         g = simple.get(row)
         if g is not None:
             ascents = tuple(i for i in ascents if i != g)
@@ -239,11 +242,6 @@ def check_prop51(spec, max_length, all_witnesses=False):
                 spec, word, [(spec.simple_root(i + 1), row[i]) for i in new]
             )
             bad += tuple((root, i, row[i]) for i in new)
-        layer[word] = ascents, bad
-        # W is infinite (validate_gcm rejects finite type), so no element
-        # has every simple reflection as a left descent: ascents is never
-        # empty, and every root of Phi_{w^-1} is checked.
-        counts["roots_checked"] += len(word)
         for root, i, pairing in bad:
             yield {
                 "word": list(word),
@@ -251,28 +249,33 @@ def check_prop51(spec, max_length, all_witnesses=False):
                 "simple_index": i + 1,
                 "pairing": _frac(pairing),
             }
+        return ascents, bad
 
     start = (weyl.rho(spec), *zip(*spec.matrix))
     return _scan(
-        "prop51", spec, None, max_length, all_witnesses, visit, counts, start
+        "prop51", spec, None, max_length, all_witnesses, visit, start,
+        (tuple(range(spec.rank)), ()), length_key="roots_checked",
     )
 
 
-def admissible_d(par):
-    """Largest 1/k, k a positive integer, with all theta-coordinates of
-    D omega_P + rho_M strictly positive."""
-    spec = par.spec
+def admissible_d(par, D=None):
+    """D, by default the largest 1/k, k a positive integer, that is
+    admissible: the alpha_P-coefficient of omega_P is negative, D is a
+    positive int or Fraction, and all theta-coordinates of
+    D omega_P + rho_M are strictly positive.  Else NoAdmissibleD."""
     if par.omega_P[par.excluded_index - 1] >= 0:
+        raise NoAdmissibleD("alpha_P-coefficient of omega_P is not negative")
+    coords = [(par.omega_P[i - 1], par.rho_M[i - 1]) for i in par.theta]
+    if D is None:  # need 1/k < rho_M_i / (-n_i) wherever n_i < 0
+        D = Fraction(1, max([int(-n / r) + 1 for n, r in coords if n < 0],
+                            default=1))
+    if (not isinstance(D, (int, Fraction)) or D <= 0
+            or any(D * n + r <= 0 for n, r in coords)):
         raise NoAdmissibleD(
-            "alpha_P-coefficient of omega_P is not negative"
+            f"D = {D!r} is not a positive int or Fraction with every "
+            "theta-coordinate of D omega_P + rho_M positive"
         )
-    k = 1
-    for i in par.theta:
-        n_i = par.omega_P[i - 1]
-        if n_i < 0:
-            # need 1/k < rho_M_i / (-n_i)
-            k = max(k, int(-n_i / par.rho_M[i - 1]) + 1)
-    return Fraction(1, k)
+    return D
 
 
 def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
@@ -285,22 +288,19 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     to root coordinates times |det A|."""
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
-    if D is None:
-        D = admissible_d(par)
+    D = admissible_d(par, D)
     scale, start = _coset_start(spec, par, D)
     # |det A| A^-1 = sign(det A) adj A, an integer matrix
     q = abs(spec.det)
     inverse = [[x * q // spec.det for x in row] for row in spec.adjugate]
-    counts = {"coset_reps": 0}
     first_non_strict = None
 
     def exact(image):
         return [_frac(Fraction(x, q * scale)) for x in image]
 
-    def visit(word, vecs):
+    def visit(word, vecs, _):
         nonlocal first_non_strict
         mu = vecs[1]
-        counts["coset_reps"] += 1
         image = [sum(a * x for a, x in zip(row, mu)) for row in inverse]
         if any(x < 0 for x in image) or all(x == 0 for x in image):
             yield {"word": list(word), "image": exact(image)}
@@ -308,8 +308,8 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
             first_non_strict = {"word": list(word), "image": exact(image)}
 
     report = _scan(
-        "lemma44", spec, theta, max_length, all_witnesses, visit, counts,
-        start,
+        "lemma44", spec, theta, max_length, all_witnesses, visit, start,
+        node_key="coset_reps",
     )
     report.extra = {
         "D": _frac(D),
@@ -327,12 +327,10 @@ def check_property25(spec, max_length, all_witnesses=False):
     # mu = w^-1 rho -> word of w, filled as the scan goes: v = w s_i is
     # shorter than w, so already seen.
     by_mu = {rho: ()}
-    counts = {"elements_checked": 0}
 
-    def visit(word, vecs):
+    def visit(word, vecs, _):
         (mu,) = vecs
         by_mu[mu] = word
-        counts["elements_checked"] += 1
         blocking = {}
         for i in range(1, spec.rank + 1):
             if mu[i - 1] > 0:
@@ -355,6 +353,6 @@ def check_property25(spec, max_length, all_witnesses=False):
         }
 
     return _scan(
-        "property25", spec, None, max_length, all_witnesses, visit, counts,
-        (rho,),
+        "property25", spec, None, max_length, all_witnesses, visit, (rho,),
+        node_key="elements_checked",
     )

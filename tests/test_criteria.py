@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from kmrd import (
     report_to_dict,
 )
 from kmrd import survey, weyl
-from kmrd.criteria import _coset_start, admissible_d
+from kmrd.criteria import _coset_start, _scan, admissible_d
 from kmrd.gcm import NoAdmissibleD, is_finite_type, matrix_hash
 
 
@@ -72,6 +75,67 @@ def test_rd_early_stop_vs_all_witnesses(rank7_spec):
     assert len(full.witnesses) >= 1
     assert early.witnesses[0] == full.witnesses[0]
     assert early.stats["roots_checked"] <= full.stats["roots_checked"]
+
+
+def test_rd_rank7_all_witnesses_at_length_12(rank7_spec):
+    # Measured before the scan driver took over the inherited failing
+    # roots; they must not move.
+    report = check_rd(rank7_spec, tuple(range(1, 7)), 12, all_witnesses=True)
+    assert len(report.witnesses) == 281
+    assert report.stats == {
+        "elements_enumerated": 51332, "coset_reps": 1020,
+        "roots_checked": 10449,
+    }
+    text = json.dumps(report.witnesses, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "008d9660268daaafb3ac7c205552213cab94400097a97a9d8ba1c21c64447480"
+    )
+
+
+class _State:
+    def __init__(self, word):
+        self.word = word
+
+
+@pytest.mark.parametrize("all_witnesses", [False, True])
+def test_scan_hands_each_node_its_parents_state(ff_spec, all_witnesses):
+    # A synthetic visit on the ff ball: each node's inherited state is what
+    # visit returned for its parent (first for the identity), the states of
+    # layers below the parents' are freed, and the counts cover exactly the
+    # nodes visited, the one that gives the first witness included.
+    first = _State(())
+    refs = {}  # word -> weakref to the state visit returned for it
+    visited = []
+
+    def visit(word, vecs, inherited):
+        if len(word) == 1:
+            assert inherited is first
+        else:
+            assert refs[word[:-1]]() is inherited
+        if not visited or len(word) > len(visited[-1]):
+            assert all(
+                ref() is None for w, ref in refs.items()
+                if len(w) < len(word) - 1
+            )
+        visited.append(word)
+        if len(word) == 4:
+            yield {"word": list(word)}
+        state = _State(word)
+        refs[word] = weakref.ref(state)
+        return state
+
+    report = _scan(
+        "synthetic", ff_spec, None, 7, all_witnesses, visit,
+        (weyl.rho(ff_spec),), first, "nodes", "letters",
+    )
+    sizes = weyl.growth_series(ff_spec, 7)
+    assert len(visited) == (sum(sizes) - 1 if all_witnesses else sum(sizes[:4]))
+    assert len(report.witnesses) == (sizes[4] if all_witnesses else 1)
+    assert report.stats == {
+        "elements_enumerated": sum(sizes),
+        "nodes": len(visited),
+        "letters": sum(map(len, visited)),
+    }
 
 
 def test_prop51_ff_fails(ff_spec):
@@ -182,6 +246,14 @@ def test_lemma44_explicit_d(ff_spec):
     report = check_lemma44(ff_spec, (2, 3), 6, D=Fraction(1, 4))
     assert report.extra["D"] == {"num": 1, "den": 4}
     assert report.verdict == HOLDS
+
+
+@pytest.mark.parametrize("D", [0, -1, 5, 0.5])
+def test_lemma44_refuses_inadmissible_d(ff_spec, D):
+    # On ff with theta = (2, 3), D is admissible exactly for 0 < D < 1/2;
+    # a float is refused whatever its value.
+    with pytest.raises(NoAdmissibleD):
+        check_lemma44(ff_spec, (2, 3), 6, D=D)
 
 
 def test_property25_ff_fails_on_braid_element(ff_spec):
