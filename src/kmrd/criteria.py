@@ -322,37 +322,47 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
 def check_property25(spec, max_length, all_witnesses=False):
     """Factorization property: every nontrivial w admits a right descent
     s_beta (w = v s_beta, l(v) < l(w)) with alpha - beta never a real root
-    for alpha in Phi_v."""
+    for alpha in Phi_v.
+
+    Decided on Phi_w, which each node inherits: w = x s_j has
+    Phi_w = {alpha_j} + s_j Phi_x.  For a right descent beta = alpha_i,
+    every alpha in Phi_v is s_i(gamma) for some gamma in Phi_w other than
+    beta, and alpha - beta = s_i(gamma + beta).  gamma + beta is positive
+    and w sends it to a sum of two negative roots, so alpha - beta is a
+    real root exactly when gamma + beta is in Phi_w.  Only a witness
+    replays Phi_v, from the word of v, to list its blocking roots."""
     rho = weyl.rho(spec)
     # mu = w^-1 rho -> word of w, filled as the scan goes: v = w s_i is
     # shorter than w, so already seen.
     by_mu = {rho: ()}
 
-    def visit(word, vecs, _):
+    def visit(word, vecs, inherited):
         (mu,) = vecs
         by_mu[mu] = word
-        blocking = {}
-        for i in range(1, spec.rank + 1):
-            if mu[i - 1] > 0:
-                continue  # not a right descent
-            # mu of v = w s_i is s_i(mu of w)
-            v = by_mu[weyl.reflect_weight(spec, i, mu)]
-            beta = spec.simple_root(i)
-            bad = [
-                alpha for alpha in weyl.inversion_set_of_word(spec, v)
-                if weyl.is_real_root(
-                    spec, tuple(a - b for a, b in zip(alpha, beta))
-                )
-            ]
-            if not bad:
-                return
-            blocking[i] = [[int(x) for x in alpha] for alpha in bad]
-        yield {
-            "word": list(word),
-            "blocking": {str(i): roots for i, roots in blocking.items()},
-        }
+        j = word[-1]
+        phi = (spec.simple_root(j),) + tuple(
+            weyl.reflect_simple(spec, j, gamma) for gamma in inherited
+        )
+        members = set(phi)
+
+        def blocks(i, gamma):  # gamma + alpha_i in Phi_w
+            return gamma[:i - 1] + (gamma[i - 1] + 1,) + gamma[i:] in members
+
+        # mu = w^-1 rho, so i is a right descent when mu_i < 0
+        descents = [i for i in range(1, spec.rank + 1) if mu[i - 1] < 0]
+        if all(any(blocks(i, gamma) for gamma in phi) for i in descents):
+            blocking = {}
+            for i in descents:
+                # mu of v = w s_i is s_i(mu of w)
+                v = by_mu[weyl.reflect_weight(spec, i, mu)]
+                blocking[str(i)] = [
+                    list(alpha) for alpha in weyl.inversion_set_of_word(spec, v)
+                    if blocks(i, weyl.reflect_simple(spec, i, alpha))
+                ]
+            yield {"word": list(word), "blocking": blocking}
+        return phi
 
     return _scan(
         "property25", spec, None, max_length, all_witnesses, visit, (rho,),
-        node_key="elements_checked",
+        (), node_key="elements_checked",
     )

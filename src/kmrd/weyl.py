@@ -478,25 +478,26 @@ def positive_real_roots_up_to_height(spec, max_height):
 
     Closure of the simple roots under simple reflections that stay positive
     and within the height bound; every real root of height <= H is reached
-    because its descent path stays below H.
+    because its descent path stays below H.  The simple roots count
+    against the root cap like every other root.
     """
     if max_height < 1:
         raise GCMError("max_height must be >= 1")
     max_roots = element_cap()
-    simples = [spec.simple_root(i) for i in range(1, spec.rank + 1)]
-    seen = set(simples)
-    queue = list(simples)
+    seen = set()
+    queue = [spec.simple_root(i) for i in range(1, spec.rank + 1)]
     while queue:
         v = queue.pop()
+        if v in seen:
+            continue
+        if len(seen) == max_roots:
+            raise CapExceeded(
+                f"root cap {max_roots} exceeded", {"roots": max_roots}
+            )
+        seen.add(v)
         for i in range(1, spec.rank + 1):
             u = reflect_simple(spec, i, v)
-            if u in seen or not all(x >= 0 for x in u) or sum(u) > max_height:
-                continue
-            seen.add(u)
-            if len(seen) > max_roots:
-                raise CapExceeded(
-                    f"root cap {max_roots} exceeded", {"roots": len(seen) - 1}
-                )
-            queue.append(u)
+            if u not in seen and all(x >= 0 for x in u) and sum(u) <= max_height:
+                queue.append(u)
     return sorted(seen, key=lambda r: (sum(r), r))
 

@@ -56,6 +56,29 @@ def test_roots_command(capsys, ff_path):
     assert [1, 0, 0] in data["roots"]
 
 
+@pytest.mark.parametrize("cap, max_height", [
+    (2, 1), (2, 2),  # crossed by the simple roots (ff has rank 3)
+    (10, 12),        # crossed during the closure
+])
+def test_roots_cap_exceeded(capsys, ff_path, monkeypatch, cap, max_height):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", str(cap))
+    code, out, err = run_cli(
+        capsys, "roots", ff_path, "--max-height", str(max_height)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: root cap {cap} exceeded (partial stats: {{'roots': {cap}}})\n"
+    )
+
+
+def test_roots_cap_reached_but_not_crossed(capsys, ff_path, monkeypatch):
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "3")
+    code, out, _ = run_cli(capsys, "roots", ff_path, "--max-height", "1")
+    assert code == 0
+    assert json.loads(out)["roots"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
 def test_weyl_command(capsys, ff_path):
     code, out, _ = run_cli(capsys, "weyl", ff_path, "--max-length", "4")
     assert code == 0

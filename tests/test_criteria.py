@@ -5,7 +5,9 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_criteria as ref
 from kmrd import (
     FAILED,
     HOLDS,
@@ -19,9 +21,10 @@ from kmrd import (
     make_parabolic,
     report_to_dict,
 )
-from kmrd import survey, weyl
+from kmrd import criteria, survey, weyl
 from kmrd.criteria import _coset_start, _scan, admissible_d
 from kmrd.gcm import NoAdmissibleD, is_finite_type, matrix_hash
+from test_differential import gcms
 
 
 def test_rd_rank7_fails_with_known_witness(rank7_spec):
@@ -248,6 +251,40 @@ def test_lemma44_explicit_d(ff_spec):
     assert report.verdict == HOLDS
 
 
+def test_lemma44_witnesses_at_a_fixed_d(ff_spec, monkeypatch):
+    # admissible_d refuses D = 5 on ff with theta = (2, 3); with it
+    # bypassed, every image leaves the positive cone.
+    monkeypatch.setattr(criteria, "admissible_d", lambda par, D=None: 5)
+    report = check_lemma44(ff_spec, (2, 3), 6, all_witnesses=True)
+    assert report.verdict == FAILED
+    assert len(report.witnesses) == 13
+    assert report.witnesses[0] == {"word": [1], "image": [
+        {"num": -21, "den": 2}, {"num": -9, "den": 1}, {"num": -4, "den": 1},
+    ]}
+    assert report.stats == {"elements_enumerated": 53, "coset_reps": 13}
+    text = json.dumps(report.witnesses, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "f7aed66f15c52f9fb5ce0804e5e723124e08fedd04858c4b033f48fe110a1610"
+    )
+
+
+def test_lemma44_first_non_strict_at_a_fixed_d(ff_spec, monkeypatch):
+    # D = 1/2 is the edge of the admissible range: the image of s_1 has
+    # a zero coordinate, so the lemma holds but not strictly.
+    monkeypatch.setattr(
+        criteria, "admissible_d", lambda par, D=None: Fraction(1, 2)
+    )
+    report = check_lemma44(ff_spec, (2, 3), 6, all_witnesses=True)
+    assert report.verdict == HOLDS
+    assert report.extra == {
+        "D": {"num": 1, "den": 2},
+        "strict_everywhere": False,
+        "first_non_strict": {"word": [1], "image": [
+            {"num": 3, "den": 4}, {"num": 0, "den": 1}, {"num": 1, "den": 2},
+        ]},
+    }
+
+
 @pytest.mark.parametrize("D", [0, -1, 5, 0.5])
 def test_lemma44_refuses_inadmissible_d(ff_spec, D):
     # On ff with theta = (2, 3), D is admissible exactly for 0 < D < 1/2;
@@ -271,6 +308,102 @@ def test_property25_rank2_holds():
 
     for a, b in ((2, 3), (3, 3), (2, 4)):
         assert check_property25(rank2_spec(a, b), 8).verdict == HOLDS
+
+
+def report_body(report):
+    data = report_to_dict(report)
+    del data["meta"]
+    return data
+
+
+@pytest.mark.parametrize("gcm, max_length, count, stats, digest", [
+    ("ff_spec", 18, 198, (1885, 1884),
+     "7b3f66d4540c190ac82b60734bb92acf805c348060e672adea54c61857592f7b"),
+    ("rank7_spec", 8, 973, (5859, 5858),
+     "387a3dd1dbca0c1be0923d154d67b1cb8e4c74512abdb381727f4972b19d1107"),
+])
+def test_property25_all_witnesses_at_full_size(request, gcm, max_length,
+                                               count, stats, digest):
+    # Measured before check_property25 decided on its inherited
+    # inversion set; they must not move.
+    spec = request.getfixturevalue(gcm)
+    report = check_property25(spec, max_length, all_witnesses=True)
+    assert report.verdict == FAILED
+    assert len(report.witnesses) == count
+    assert report.stats == dict(
+        zip(("elements_enumerated", "elements_checked"), stats)
+    )
+    text = json.dumps(report.witnesses, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+def assert_property25_lemma(spec, max_length):
+    """For each w in the ball, each right descent i and each alpha in
+    Phi_v, v = w s_i: alpha - alpha_i is a real root exactly when
+    s_i(alpha - alpha_i) is in Phi_w.  Returns how often each side of
+    that equivalence occurred, as {False: n, True: m}."""
+    rho = weyl.rho(spec)
+    words = {rho: ()}  # mu = w^-1 rho -> word of w
+    for layer in weyl.orbit_walk(spec, max_length, (rho,)):
+        words.update((vecs[0], word) for word, vecs in layer)
+    seen = {False: 0, True: 0}
+    for mu, word in words.items():
+        phi_w = set(weyl.inversion_set_of_word(spec, word))
+        for i in range(1, spec.rank + 1):
+            if mu[i - 1] > 0:
+                continue  # not a right descent
+            v = words[weyl.reflect_weight(spec, i, mu)]
+            for alpha in weyl.inversion_set_of_word(spec, v):
+                diff = tuple(
+                    a - b for a, b in zip(alpha, spec.simple_root(i))
+                )
+                real = weyl.is_real_root(spec, diff)
+                assert real == (weyl.reflect_simple(spec, i, diff) in phi_w)
+                seen[real] += 1
+    return seen
+
+
+@pytest.mark.parametrize("gcm, max_length", [
+    ("ff_spec", 10), ("rank7_spec", 5),
+])
+def test_property25_lemma(request, gcm, max_length):
+    seen = assert_property25_lemma(request.getfixturevalue(gcm), max_length)
+    assert min(seen.values()) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=gcms(), max_length=st.integers(min_value=1, max_value=6))
+def test_property25_lemma_on_random_gcms(spec, max_length):
+    assert_property25_lemma(spec, max_length)
+
+
+def test_property25_runs_no_real_root_test(ff_spec, monkeypatch):
+    expected = report_body(ref.check_property25(ff_spec, 10, True))
+
+    def refuse(*args):
+        raise AssertionError("is_real_root was called")
+
+    monkeypatch.setattr(weyl, "is_real_root", refuse)
+    got = report_body(check_property25(ff_spec, 10, all_witnesses=True))
+    assert got == expected
+    assert len(got["witnesses"]) == 19
+
+
+def test_property25_holds_without_inversion_sets_from_words(monkeypatch):
+    # Only a witness replays an inversion set from a word.
+    from kmrd.rank2 import rank2_spec
+
+    spec = rank2_spec(2, 3)
+    expected = report_body(check_property25(spec, 20, all_witnesses=True))
+
+    def refuse(*args):
+        raise AssertionError("an inversion set was rebuilt from a word")
+
+    monkeypatch.setattr(weyl, "inversion_set_of_word", refuse)
+    got = report_body(check_property25(spec, 20, all_witnesses=True))
+    assert got == expected
+    assert got["verdict"] == HOLDS
+    assert got["stats"]["elements_checked"] == 40
 
 
 def test_report_dict_shape(ff_spec):
