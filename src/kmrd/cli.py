@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 computation completed (verdict inside the report), 1 a
-FAILED verdict under --assert, 2 input error, 3 enumeration cap exceeded.
+FAILED verdict under --assert, 2 input error, 3 enumeration cap exceeded,
+141 stdout closed before the output was written (128 + SIGPIPE, as a
+shell reports for a writer killed by a closed pipe).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, criteria, ff, rank2, weyl
@@ -16,6 +19,7 @@ EXIT_OK = 0
 EXIT_ASSERT_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
+EXIT_BROKEN_PIPE = 141
 
 _MAX_LAYERS_SHOWN = 32
 
@@ -235,11 +239,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CapExceeded as exc:
         print(f"error: {exc} (partial stats: {_describe_stats(exc.stats)})",
               file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except BrokenPipeError:
+        # The reader has gone (``kmrd weyl ... | head -1``): no message, and
+        # fd 1 points at /dev/null so that the interpreter's last flush of
+        # stdout does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (GCMError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -87,9 +87,11 @@ def _symmetrizer(matrix):
     normalized to coprime positive integers.
 
     The matrix must satisfy the GCM axioms, so every edge has two negative
-    entries.  Each d_j is carried as a ratio of positive integers
-    num[j]/den[j] in lowest terms, and scaled by the lcm of the
-    denominators at the end.
+    entries and a zero entry has a zero transpose.  Each d_j is carried as
+    a ratio of positive integers num[j]/den[j] in lowest terms, and scaled
+    by the lcm of the denominators at the end.  The traversal sets or
+    checks d_i a_ij = d_j a_ji on every edge, and the scaling keeps it, so
+    diag(d) A is symmetric once no edge is inconsistent.
     """
     n = len(matrix)
     num = [0] * n
@@ -122,12 +124,6 @@ def _symmetrizer(matrix):
     gram = tuple(
         tuple(d_int[i] * matrix[i][j] for j in range(n)) for i in range(n)
     )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i][j] != gram[j][i]:
-                raise NotSymmetrizable(
-                    f"diag(d) A not symmetric at ({i+1},{j+1})"
-                )
     return d_int, gram
 
 

@@ -53,10 +53,7 @@ class SurveySpec:
             raise ValueError("rank must be between 2 and 5")
         if self.entry_min >= 0:
             raise ValueError("entry_min must be negative")
-        if self.max_length < 0:
-            raise ValueError(
-                f"max_length must be >= 0, got {self.max_length}"
-            )
+        weyl.check_max_length(self.max_length)
 
     def digest(self):
         """The checkpoint's hash of the spec and the element cap, on which

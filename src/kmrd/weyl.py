@@ -13,7 +13,10 @@ One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
 orbit W.rho, and the minimal coset representatives W^theta, as the orbit
 of a weight whose stabiliser is W_theta.  The ball is counted, layer by
 layer, from its growth series (``growth_series``), without a walk, and
-that count is the one check of the element cap.
+that count is the one check of the element cap.  One closure of the
+simple roots under the reflections that raise the height, ``_closure``,
+gives both the positive real roots up to a height and the roots of each
+finite W_J of the growth series.
 """
 
 import functools
@@ -302,11 +305,11 @@ def _finite_parabolics(spec, max_roots):
     """(|J|, heights of the positive roots of W_J) for the subsets J of
     the nodes whose W_J is finite with at most max_roots positive roots.
 
-    The positive roots of W_J are the closure of its simple roots under
-    the simple reflections of J that raise the height: s_j adds -c alpha_j
-    to a root when c = <root, alpha_j^vee> < 0.  Roots are kept in weight
-    coordinates, where c is coordinate j and alpha_j is column j of A; A
-    is nonsingular, so these coordinates determine the root.
+    The positive roots of W_J are the ``_closure`` of its simple roots
+    under the simple reflections of J that raise the height: s_j adds
+    -c alpha_j to a root when c = <root, alpha_j^vee> < 0.  Roots are kept
+    in weight coordinates, where c is coordinate j and alpha_j is column j
+    of A; A is nonsingular, so these coordinates determine the root.
 
     A closure that passes max_roots, or k * max(k, 15) for |J| = k, is cut
     off: either W_J has more than max_roots positive roots, or it is
@@ -318,18 +321,18 @@ def _finite_parabolics(spec, max_roots):
     out = []
     for k in range(1, spec.rank + 1):
         for nodes in itertools.combinations(range(spec.rank), k):
-            heights = _closure_heights(
-                alphas, nodes, min(max_roots, k * max(k, 15))
-            )
-            if heights is not None:
-                out.append((k, heights))
+            roots = _closure(alphas, nodes, min(max_roots, k * max(k, 15)))
+            if roots is not None:
+                out.append((k, [height for _, height in roots]))
     return out
 
 
-def _closure_heights(alphas, nodes, bound):
-    """The heights of the closure of the simple roots of nodes, or None
-    once it has more than bound roots."""
-    roots = [(alphas[i], 1) for i in nodes]  # (weight coordinates, height)
+def _closure(alphas, nodes, bound, max_height=None):
+    """The closure of the simple roots of nodes under the simple
+    reflections of nodes that raise the height, as a list of (weight
+    coordinates, height), or None once it has more than bound roots.  With
+    max_height, a raise that would go above it is skipped."""
+    roots = [(alphas[i], 1) for i in nodes]
     if len(roots) > bound:
         return None
     seen = {root for root, _ in roots}
@@ -337,13 +340,15 @@ def _closure_heights(alphas, nodes, bound):
         for j in nodes:
             c = root[j]
             if c < 0:
+                if max_height is not None and height - c > max_height:
+                    continue
                 up = tuple([x - c * a for x, a in zip(root, alphas[j])])
                 if up not in seen:
                     if len(roots) == bound:
                         return None
                     seen.add(up)
                     roots.append((up, height - c))
-    return [height for _, height in roots]
+    return roots
 
 
 def _times_binomial(series, a):
@@ -474,30 +479,31 @@ def is_real_root(spec, v):
 
 
 def positive_real_roots_up_to_height(spec, max_height):
-    """All positive real roots of coordinate-sum <= max_height.
+    """All positive real roots of coordinate-sum <= max_height, sorted by
+    height and then by root coordinates.
 
-    Closure of the simple roots under simple reflections that stay positive
-    and within the height bound; every real root of height <= H is reached
-    because its descent path stays below H.  The simple roots count
-    against the root cap like every other root.
-    """
+    They are the ``_closure`` of the simple roots over all nodes, cut at
+    max_height.  A positive real root beta that is not simple has some j
+    with <beta, alpha_j^vee> > 0, as (beta|beta) > 0 is the sum of its
+    coefficients times the (beta|alpha_j); s_j beta is then a positive
+    root of smaller height, so every root of height <= H is reached by
+    raises that stay at or below H (Kac, Infinite-dimensional Lie
+    algebras, ch. 5).  The simple roots count against the root cap like
+    every other root.  A root mu in weight coordinates is A beta, so
+    beta = adj(A) mu / det A, an exact division."""
     if max_height < 1:
         raise GCMError("max_height must be >= 1")
     max_roots = element_cap()
-    seen = set()
-    queue = [spec.simple_root(i) for i in range(1, spec.rank + 1)]
-    while queue:
-        v = queue.pop()
-        if v in seen:
-            continue
-        if len(seen) == max_roots:
-            raise CapExceeded(
-                f"root cap {max_roots} exceeded", {"roots": max_roots}
-            )
-        seen.add(v)
-        for i in range(1, spec.rank + 1):
-            u = reflect_simple(spec, i, v)
-            if u not in seen and all(x >= 0 for x in u) and sum(u) <= max_height:
-                queue.append(u)
-    return sorted(seen, key=lambda r: (sum(r), r))
-
+    roots = _closure(
+        list(zip(*spec.matrix)), range(spec.rank), max_roots, max_height
+    )
+    if roots is None:
+        raise CapExceeded(
+            f"root cap {max_roots} exceeded", {"roots": max_roots}
+        )
+    return sorted(
+        (tuple([sum([a * x for a, x in zip(row, mu)]) // spec.det
+                for row in spec.adjugate])
+         for mu, _ in roots),
+        key=lambda r: (sum(r), r),
+    )

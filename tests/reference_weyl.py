@@ -1,14 +1,17 @@
 """Test-only reference: the matrix-based Weyl-ball enumeration as it stood
 before the ball became a walk on the orbit W.rho, kept verbatim (with the
 element type and the two matrix steps it relied on) so that the
-differential tests can compare every layer against it.  Not part of the
-package.
+differential tests can compare every layer against it; and the closure of
+the positive real roots in root coordinates as it stood before the roots
+came from the growth series' raising closure in weight coordinates, also
+kept verbatim.  Not part of the package.
 """
 
 from dataclasses import dataclass
 
 from kmrd import linalg
-from kmrd.weyl import CapExceeded, element_cap
+from kmrd.gcm import GCMError
+from kmrd.weyl import CapExceeded, element_cap, reflect_simple
 
 
 @dataclass(frozen=True)
@@ -82,3 +85,32 @@ def enumerate_by_length(spec, max_length, max_elements=None):
             break
         layers.append(frontier)
     return layers
+
+
+def positive_real_roots_up_to_height(spec, max_height):
+    """All positive real roots of coordinate-sum <= max_height.
+
+    Closure of the simple roots under simple reflections that stay positive
+    and within the height bound; every real root of height <= H is reached
+    because its descent path stays below H.  The simple roots count
+    against the root cap like every other root.
+    """
+    if max_height < 1:
+        raise GCMError("max_height must be >= 1")
+    max_roots = element_cap()
+    seen = set()
+    queue = [spec.simple_root(i) for i in range(1, spec.rank + 1)]
+    while queue:
+        v = queue.pop()
+        if v in seen:
+            continue
+        if len(seen) == max_roots:
+            raise CapExceeded(
+                f"root cap {max_roots} exceeded", {"roots": max_roots}
+            )
+        seen.add(v)
+        for i in range(1, spec.rank + 1):
+            u = reflect_simple(spec, i, v)
+            if u not in seen and all(x >= 0 for x in u) and sum(u) <= max_height:
+                queue.append(u)
+    return sorted(seen, key=lambda r: (sum(r), r))

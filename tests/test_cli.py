@@ -538,6 +538,24 @@ def test_commands_load_only_what_they_run(tmp_path):
     }
 
 
+def test_closed_stdout_is_not_an_input_error(ff_path):
+    # The weyl output at L=16 (about 139 kB) is more than a pipe holds, so
+    # writing it meets the closed pipe.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kmrd.cli", "weyl", ff_path,
+         "--max-length", "16"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

@@ -1,7 +1,9 @@
 """Differential tests: every decider, run on the shared scan driver, gives
 the same report as the straightforward loops in ``reference_criteria``
 (everything but ``meta.wall_time_ms``), and raises the same error type
-wherever the reference raises."""
+wherever the reference raises.  The positive real roots up to a height
+match the closure in root coordinates of ``reference_weyl``, under every
+root cap."""
 
 import itertools
 import random
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_criteria as ref
-from kmrd import criteria, ff
+import reference_weyl
+from kmrd import criteria, ff, weyl
 from kmrd.gcm import GCMError, is_finite_type, validate_gcm
 
 PAIRS = [(0, 0)] + list(itertools.product(range(-1, -4, -1), repeat=2))
@@ -177,3 +180,56 @@ def test_walk_matches_reference_on_non_symmetric_gcms(matrix):
             spec, theta, 7, ("check_rd", "check_lemma44"), False
         )
         assert_same_theta_reports(spec, theta, 7, ("check_rd",), True)
+
+
+# The positive real roots up to a height: the growth series' raising
+# closure in weight coordinates against the closure in root coordinates.
+
+def root_outcome(fn, spec, max_height):
+    """The sorted roots, or the message and stats of the CapExceeded."""
+    try:
+        return fn(spec, max_height)
+    except weyl.CapExceeded as exc:
+        return str(exc), exc.stats
+
+
+def assert_same_roots(spec, max_height):
+    """Same roots under the default cap, and under every cap from 1 to one
+    past the number of roots the same list or the same refusal."""
+    roots = reference_weyl.positive_real_roots_up_to_height(spec, max_height)
+    assert weyl.positive_real_roots_up_to_height(spec, max_height) == roots
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in range(1, len(roots) + 2):
+            mp.setenv("KMRD_MAX_ELEMENTS", str(cap))
+            expected = root_outcome(
+                reference_weyl.positive_real_roots_up_to_height,
+                spec, max_height,
+            )
+            assert root_outcome(
+                weyl.positive_real_roots_up_to_height, spec, max_height
+            ) == expected, (max_height, cap)
+            assert (cap >= len(roots)) == isinstance(expected, list)
+
+
+def test_roots_match_reference_on_ff(ff_spec):
+    for max_height in range(1, 61):
+        assert_same_roots(ff_spec, max_height)
+
+
+def test_roots_match_reference_on_rank7(rank7_spec):
+    for max_height in range(1, 15):
+        assert_same_roots(rank7_spec, max_height)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=gcms(), max_height=st.integers(min_value=1, max_value=20))
+def test_roots_match_reference_on_random_gcms(spec, max_height):
+    assert_same_roots(spec, max_height)
+
+
+def test_roots_make_no_reflection_in_root_coordinates(ff_spec, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reflect_simple called")
+
+    monkeypatch.setattr(weyl, "reflect_simple", refuse)
+    assert len(weyl.positive_real_roots_up_to_height(ff_spec, 50)) == 150
