@@ -1,5 +1,13 @@
 """Command-line front end.
 
+Each command returns ``(payload, ok)`` and does nothing else with its
+result: payload is the JSON it prints (None for ``survey``, whose output
+is its records file) and ok says whether its verdict holds.  ``main``
+alone writes the payload, to the --report file first when one is given
+and then to stdout, the same bytes to both, and ``main`` alone decides
+every exit code.  --report and --assert are taken by the commands with a
+verdict: ``check``, ``rank2 verify`` and ``ff verify``.
+
 Exit codes: 0 computation completed (verdict inside the report), 1 a
 FAILED verdict under --assert, 2 input error, 3 enumeration cap exceeded,
 141 stdout closed before the output was written (128 + SIGPIPE, as a
@@ -53,35 +61,25 @@ def _parse_theta(text):
         raise GCMError(f"bad theta {text!r}; expected comma-separated indices")
 
 
-def _emit(data, path=None):
-    text = json.dumps(data, indent=2)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-
-
 def cmd_validate(args):
     spec = load_gcm(args.path)
-    _emit({
+    return {
         "name": spec.name,
         "rank": spec.rank,
         "symmetrizer": list(spec.symmetrizer),
         "matrix": [list(r) for r in spec.matrix],
-    })
-    return EXIT_OK
+    }, True
 
 
 def cmd_roots(args):
     spec = load_gcm(args.path)
     roots = weyl.positive_real_roots_up_to_height(spec, args.max_height)
-    _emit({
+    return {
         "name": spec.name,
         "max_height": args.max_height,
         "count": len(roots),
         "roots": [list(r) for r in roots],
-    })
-    return EXIT_OK
+    }, True
 
 
 def _walk_words(spec, max_length, weight):
@@ -112,8 +110,7 @@ def cmd_weyl(args):
     else:
         layers = _walk_words(spec, args.max_length, weyl.rho(spec))
         payload["words"] = [list(w) for layer in layers for w in layer]
-    _emit(payload)
-    return EXIT_OK
+    return payload, True
 
 
 def cmd_check(args):
@@ -125,31 +122,19 @@ def cmd_check(args):
     theta = [_parse_theta(args.theta)] if takes_theta else []
     report = decider(spec, *theta, args.max_length,
                      all_witnesses=args.all_witnesses)
-    _emit(criteria.report_to_dict(report), args.report)
-    if args.assert_ and report.failed:
-        return EXIT_ASSERT_FAILED
-    return EXIT_OK
+    return criteria.report_to_dict(report), not report.failed
 
 
 def cmd_rank2_verify(args):
     report = rank2.verify_prop52(args.a, args.b, args.max_n)
-    _emit(report, args.report)
-    if args.assert_ and not report["ok"]:
-        return EXIT_ASSERT_FAILED
-    return EXIT_OK
+    return report, report["ok"]
 
 
 def cmd_ff_verify(args):
-    payload = {
-        "lemma_scan": ff.verify_lemma55(args.max_length),
-        "parabolic_rd": ff.verify_prop56(args.max_length),
-    }
-    _emit(payload, args.report)
-    if args.assert_ and not (
-        payload["lemma_scan"]["ok"] and payload["parabolic_rd"]["ok"]
-    ):
-        return EXIT_ASSERT_FAILED
-    return EXIT_OK
+    lemma_scan = ff.verify_lemma55(args.max_length)
+    parabolic_rd = ff.verify_prop56(args.max_length)
+    payload = {"lemma_scan": lemma_scan, "parabolic_rd": parabolic_rd}
+    return payload, lemma_scan["ok"] and parabolic_rd["ok"]
 
 
 def cmd_survey(args):
@@ -166,7 +151,7 @@ def cmd_survey(args):
         spec, args.out, resume=args.resume, jobs=args.jobs
     )
     print(f"survey complete: {completed} records in {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return None, True
 
 
 def build_parser():
@@ -176,7 +161,14 @@ def build_parser():
         "maximal parabolic subgroups",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(report=None, assert_=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    # taken by the commands that give a verdict
+    verdict = argparse.ArgumentParser(add_help=False)
+    verdict.add_argument("--report", default=None,
+                         help="write the JSON report to this file as well")
+    verdict.add_argument("--assert", dest="assert_", action="store_true",
+                         help="exit 1 when the verdict fails")
 
     p = sub.add_parser("validate", help="validate a Cartan matrix file")
     p.add_argument("path")
@@ -193,33 +185,27 @@ def build_parser():
     p.add_argument("--theta", default=None)
     p.set_defaults(func=cmd_weyl)
 
-    p = sub.add_parser("check", help="run a bounded combinatorial check")
+    p = sub.add_parser("check", parents=[verdict],
+                       help="run a bounded combinatorial check")
     p.add_argument("kind", choices=list(_CHECKS))
     p.add_argument("path")
     p.add_argument("--theta", default=None)
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--all-witnesses", action="store_true")
-    p.add_argument("--report", default=None)
-    p.add_argument("--assert", dest="assert_", action="store_true",
-                   help="exit 1 on a FAILED verdict")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("rank2", help="rank-2 closed-form verification")
     rank2_sub = p.add_subparsers(dest="rank2_command", required=True)
-    pv = rank2_sub.add_parser("verify")
+    pv = rank2_sub.add_parser("verify", parents=[verdict])
     pv.add_argument("-a", type=int, required=True)
     pv.add_argument("-b", type=int, required=True)
     pv.add_argument("--max-n", type=int, required=True)
-    pv.add_argument("--report", default=None)
-    pv.add_argument("--assert", dest="assert_", action="store_true")
     pv.set_defaults(func=cmd_rank2_verify)
 
     p = sub.add_parser("ff", help="Feingold-Frenkel verification")
     ff_sub = p.add_subparsers(dest="ff_command", required=True)
-    pv = ff_sub.add_parser("verify")
+    pv = ff_sub.add_parser("verify", parents=[verdict])
     pv.add_argument("--max-length", type=int, required=True)
-    pv.add_argument("--report", default=None)
-    pv.add_argument("--assert", dest="assert_", action="store_true")
     pv.set_defaults(func=cmd_ff_verify)
 
     p = sub.add_parser("survey", help="batch RD survey over a matrix family")
@@ -239,9 +225,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        payload, ok = args.func(args)
+        if payload is not None:
+            text = json.dumps(payload, indent=2)
+            if args.report:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            print(text)
         sys.stdout.flush()
-        return code
     except CapExceeded as exc:
         print(f"error: {exc} (partial stats: {_describe_stats(exc.stats)})",
               file=sys.stderr)
@@ -255,6 +246,7 @@ def main(argv=None):
     except (GCMError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_ASSERT_FAILED if args.assert_ and not ok else EXIT_OK
 
 
 if __name__ == "__main__":

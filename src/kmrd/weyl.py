@@ -20,7 +20,6 @@ finite W_J of the growth series.
 """
 
 import functools
-import itertools
 import os
 
 from . import linalg
@@ -316,14 +315,26 @@ def _finite_parabolics(spec, max_roots):
     infinite, as an irreducible finite root system of rank k has at most
     k * max(k, 15) positive roots (E8 has 8 * 15, B_k and C_k have k^2, the
     most of the classical types) and a sum of them at most the sum of the
-    bounds."""
+    bounds.
+
+    Either way every superset of J is cut off too, as W_J lies in it, so
+    the subsets are grown one node at a time from those that survive, each
+    by the nodes above its largest: every subset that survives is reached,
+    in the order of ``itertools.combinations``, and the work follows the
+    survivors, not the 2^n - 1 subsets."""
     alphas = list(zip(*spec.matrix))
     out = []
+    layer = [()]
     for k in range(1, spec.rank + 1):
-        for nodes in itertools.combinations(range(spec.rank), k):
-            roots = _closure(alphas, nodes, min(max_roots, k * max(k, 15)))
-            if roots is not None:
-                out.append((k, [height for _, height in roots]))
+        bound = min(max_roots, k * max(k, 15))
+        grown = []
+        for nodes in layer:
+            for i in range(nodes[-1] + 1 if nodes else 0, spec.rank):
+                roots = _closure(alphas, nodes + (i,), bound)
+                if roots is not None:
+                    grown.append(nodes + (i,))
+                    out.append((k, [height for _, height in roots]))
+        layer = grown
     return out
 
 
@@ -452,7 +463,9 @@ def is_real_root(spec, v):
     """True iff v lies in the Weyl orbit of the (plus/minus) simple roots.
 
     Descends by the smallest index with positive coroot pairing; the height
-    strictly decreases, so this terminates.
+    strictly decreases, so this terminates.  Such an index always exists:
+    in the loop v >= 0, and (v|v) > 0 as the reflections keep the form, so
+    v != 0, and (v|v) = sum_j v_j d_j (Av)_j gives some j with (Av)_j > 0.
     """
     if any(not isinstance(x, int) for x in v):
         raise GCMError("is_real_root expects integer coordinates")
@@ -467,12 +480,9 @@ def is_real_root(spec, v):
         if len(nonzero) == 1 and nonzero[0] == 1:
             return True
         desc = next(
-            (i for i in range(1, spec.rank + 1)
-             if sum(spec.matrix[i - 1][j] * v[j] for j in range(spec.rank)) > 0),
-            None,
+            i for i in range(1, spec.rank + 1)
+            if sum(spec.matrix[i - 1][j] * v[j] for j in range(spec.rank)) > 0
         )
-        if desc is None:
-            return False
         v = reflect_simple(spec, desc, v)
         if any(x < 0 for x in v):
             return False

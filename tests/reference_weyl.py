@@ -4,14 +4,17 @@ element type and the two matrix steps it relied on) so that the
 differential tests can compare every layer against it; and the closure of
 the positive real roots in root coordinates as it stood before the roots
 came from the growth series' raising closure in weight coordinates, also
-kept verbatim.  Not part of the package.
+kept verbatim; and the finite parabolics of the growth series as they
+stood before the node subsets were grown from the survivors only, kept
+verbatim over the package's ``_closure``.  Not part of the package.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from kmrd import linalg
 from kmrd.gcm import GCMError
-from kmrd.weyl import CapExceeded, element_cap, reflect_simple
+from kmrd.weyl import CapExceeded, _closure, element_cap, reflect_simple
 
 
 @dataclass(frozen=True)
@@ -114,3 +117,17 @@ def positive_real_roots_up_to_height(spec, max_height):
             if u not in seen and all(x >= 0 for x in u) and sum(u) <= max_height:
                 queue.append(u)
     return sorted(seen, key=lambda r: (sum(r), r))
+
+
+def _finite_parabolics(spec, max_roots):
+    """(|J|, heights of the positive roots of W_J) for the subsets J of
+    the nodes whose W_J is finite with at most max_roots positive roots,
+    each of the 2^n - 1 subsets closed on its own."""
+    alphas = list(zip(*spec.matrix))
+    out = []
+    for k in range(1, spec.rank + 1):
+        for nodes in itertools.combinations(range(spec.rank), k):
+            roots = _closure(alphas, nodes, min(max_roots, k * max(k, 15)))
+            if roots is not None:
+                out.append((k, [height for _, height in roots]))
+    return out

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kmrd import load_gcm, weyl
+from kmrd import ff, load_gcm, rank2, weyl
 from kmrd.cli import main
 from kmrd.weyl import CapExceeded
 
@@ -554,6 +554,74 @@ def test_closed_stdout_is_not_an_input_error(ff_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# One output path: every command hands main its payload and verdict, and
+# main alone writes them and picks the exit code.
+
+VERDICT_RUNS = [
+    # (argv, the function patched to report ok: False or None, ok)
+    (("check", "rd", "{ff}", "--theta", "2,3", "--max-length", "8"),
+     None, True),
+    (("check", "rd", "{rank7}", "--theta", "1,2,3,4,5,6",
+      "--max-length", "8"), None, False),
+    (("rank2", "verify", "-a", "2", "-b", "3", "--max-n", "10"),
+     None, True),
+    (("rank2", "verify", "-a", "2", "-b", "3", "--max-n", "10"),
+     (rank2, "verify_prop52"), False),
+    (("ff", "verify", "--max-length", "8"), None, True),
+    (("ff", "verify", "--max-length", "8"), (ff, "verify_prop56"), False),
+]
+
+
+def verdicts(data):
+    """The ok flags of a printed payload, a FAILED check rd as False."""
+    if "verdict" in data:
+        return [data["verdict"] != "FAILED_WITH_WITNESS"]
+    if "ok" in data:
+        return [data["ok"]]
+    return [data["lemma_scan"]["ok"], data["parabolic_rd"]["ok"]]
+
+
+@pytest.mark.parametrize("assert_", [False, True])
+@pytest.mark.parametrize("argv, failing, ok", VERDICT_RUNS)
+def test_report_is_stdout_and_assert_follows_verdict(
+    capsys, monkeypatch, tmp_path, ff_path, rank7_path, argv, failing, ok,
+    assert_,
+):
+    if failing:
+        module, name = failing
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args: {**real(*args), "ok": False}
+        )
+    report = tmp_path / "report.json"
+    argv = [arg.format(ff=ff_path, rank7=rank7_path) for arg in argv]
+    argv += ["--report", str(report)] + (["--assert"] if assert_ else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (1 if assert_ and not ok else 0)
+    assert err == ""
+    assert report.read_bytes() == out.encode()
+    assert all(verdicts(json.loads(out))) == ok
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "{ff}"),
+    ("roots", "{ff}", "--max-height", "4"),
+    ("weyl", "{ff}", "--max-length", "2"),
+    ("survey", "--rank", "2", "--entry-min", "-3", "--max-length", "2",
+     "--out", "{out}"),
+])
+@pytest.mark.parametrize("option", [("--report", "{report}"), ("--assert",)])
+def test_verdict_options_refused_elsewhere(capsys, ff_path, tmp_path, argv,
+                                           option):
+    paths = {"ff": ff_path, "out": str(tmp_path / "survey.jsonl"),
+             "report": str(tmp_path / "report.json")}
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(**paths) for arg in argv + option])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_version(capsys):

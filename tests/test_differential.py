@@ -233,3 +233,49 @@ def test_roots_make_no_reflection_in_root_coordinates(ff_spec, monkeypatch):
 
     monkeypatch.setattr(weyl, "reflect_simple", refuse)
     assert len(weyl.positive_real_roots_up_to_height(ff_spec, 50)) == 150
+
+
+# The finite parabolics of the growth series: the node subsets grown from
+# the survivors only against every subset closed on its own.
+
+def growth_outcome(spec, max_length):
+    """The growth series built afresh, or the message and stats of the
+    CapExceeded."""
+    weyl._recurrence.cache_clear()
+    try:
+        return weyl.growth_series(spec, max_length)
+    except weyl.CapExceeded as exc:
+        return str(exc), exc.stats
+
+
+def assert_same_parabolics(spec, max_length):
+    """The same (|J|, heights) list, in the same order, and the same
+    growth series, or the same refusal, under the default cap and under
+    small ones."""
+    parabolics = reference_weyl._finite_parabolics(spec, max_length)
+    assert weyl._finite_parabolics(spec, max_length) == parabolics
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in (None, 1, 7, 60, 1000):
+            if cap is not None:
+                mp.setenv("KMRD_MAX_ELEMENTS", str(cap))
+            got = growth_outcome(spec, max_length)
+            with pytest.MonkeyPatch.context() as frozen:
+                frozen.setattr(weyl, "_finite_parabolics",
+                               reference_weyl._finite_parabolics)
+                assert growth_outcome(spec, max_length) == got, cap
+    weyl._recurrence.cache_clear()
+
+
+GROWTH_LENGTHS = (0, 1, 2, 3, 5, 8, 13)
+
+
+def test_parabolics_match_reference(ff_spec, rank7_spec):
+    for spec in (ff_spec, rank7_spec):
+        for max_length in GROWTH_LENGTHS + (40,):
+            assert_same_parabolics(spec, max_length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=gcms(), max_length=st.sampled_from(GROWTH_LENGTHS))
+def test_parabolics_match_reference_on_random_gcms(spec, max_length):
+    assert_same_parabolics(spec, max_length)

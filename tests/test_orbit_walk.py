@@ -222,6 +222,27 @@ def test_growth_series_rank2_is_infinite_dihedral():
     assert weyl.growth_series(spec, 0) == [1]
 
 
+def test_growth_series_closes_only_surviving_subsets(monkeypatch):
+    # W is the free product of 24 copies of Z/2: at L = 2 the 24
+    # singletons survive, the 276 pairs (infinite dihedral) are cut off,
+    # and no larger subset is closed
+    spec = validate_gcm(
+        [[2 if i == j else -2 for j in range(24)] for i in range(24)]
+    )
+    calls = []
+    closure = weyl._closure
+
+    def counting_closure(*args):
+        calls.append(args[1])
+        return closure(*args)
+
+    monkeypatch.setattr(weyl, "_closure", counting_closure)
+    weyl._recurrence.cache_clear()
+    assert weyl.growth_series(spec, 2) == [1, 24, 24 * 23]
+    assert len(calls) <= 300
+    weyl._recurrence.cache_clear()
+
+
 @st.composite
 def symmetrizable_gcms(draw):
     """Rank 2-5 GCMs built from a symmetrizer d: d_i a_ij = d_j a_ji =

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmrd import (
     CapExceeded,
@@ -23,6 +26,7 @@ from kmrd.weyl import (
     is_positive_vec,
     simple_reflection_matrix,
 )
+from test_differential import gcms
 
 
 def mat_mul(a, b):
@@ -165,6 +169,17 @@ def test_roots_sorted_and_real(ff_spec):
     roots = positive_real_roots_up_to_height(ff_spec, 12)
     assert roots == sorted(roots, key=lambda r: (sum(r), r))
     assert all(is_real_root(ff_spec, r) for r in roots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=gcms(), max_height=st.integers(min_value=1, max_value=12))
+def test_is_real_root_matches_root_closure(spec, max_height):
+    # the descent of is_real_root against the raising closure, both ways,
+    # on every nonnegative vector up to the height
+    roots = set(positive_real_roots_up_to_height(spec, max_height))
+    for v in itertools.product(range(max_height + 1), repeat=spec.rank):
+        if sum(v) <= max_height:
+            assert is_real_root(spec, v) == (v in roots), v
 
 
 def test_element_cap(ff_spec, monkeypatch):
