@@ -158,8 +158,14 @@ def _replayed_root(spec, prefix, pairings):
     """The root that prefix's last letter adds to Phi_{w^-1}, replayed in
     root coordinates from the word alone.  Each (weight, pairing) of
     ``pairings`` is what the walk gave; the first that the root's
-    ``pair_with_coroot`` contradicts is an internal error, not a witness."""
-    root = weyl.inversion_set_of_word(spec, prefix[::-1])[-1]
+    ``pair_with_coroot`` contradicts is an internal error, not a witness.
+
+    For prefix (i_1, ..., i_k) that root is s_{i_1} ... s_{i_(k-1)}
+    alpha_{i_k}, the last member of ``inversion_set_of_word`` of the
+    reversed prefix, folded here without the members before it."""
+    root = spec.simple_root(prefix[-1])
+    for i in reversed(prefix[:-1]):
+        root = weyl.reflect_simple(spec, i, root)
     for lam, pairing in pairings:
         if pair_with_coroot(spec, lam, root) != pairing:
             raise GCMError(

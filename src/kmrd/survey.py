@@ -99,67 +99,116 @@ def _pair_options(entry_min, symmetric_only):
                 yield (x, y)
 
 
-def _class_representatives(n, options):
-    """Yield the least member of each class of candidate matrices under
-    simultaneous row/column permutation, as a row-major flat tuple, in the
-    order of each class's first candidate.
+def _orbit_members(n, options):
+    """The candidates of ``_class_representatives`` and their orbits, as
+    ``(size, members, decode)``.
 
     A candidate has 2 on the diagonal and, on the t-th pair i < j of
     ``itertools.combinations(range(n), 2)``, the entries
     (m_ij, m_ji) = options[c_t]; its position in ``itertools.product``
-    order is the base-len(options) number c_1 ... c_P.  ``options`` must be
-    closed under (x, y) -> (y, x), so that every permuted candidate is a
-    candidate.  The first unmarked position starts a class: the position
-    of every member of its orbit is marked, one byte per candidate, so
-    that no member starts a class again, and its least member, built from
-    the permutation getters, is the representative ``canonical_matrix``
-    would give.
+    order is the base-len(options) number c_1 ... c_P, below ``size``.
+    ``options`` must be closed under (x, y) -> (y, x), so that every
+    permuted candidate is a candidate.
 
-    Permuting by p moves the entries of source pair (i, j) to the pair
-    (p^-1(i), p^-1(j)), transposed when p reverses their order.  So
-    ``tables[p][s][d]`` is what digit d at source pair s adds to the
-    position of the permuted candidate: the target pair's place value
-    times d, or times the index of the transposed option, and a member's
-    position is the sum of its table entries at the class's digits."""
+    ``members(pos)`` lists, for each permutation of range(n), one integer
+    ``key * size + q`` for the candidate at position pos permuted by it:
+    q is the permuted candidate's position, and ``decode(key)`` its
+    row-major flat tuple.  The key reads the off-diagonal entries in
+    row-major order, each less ``low``, as the digits of a base-``radix``
+    number; the diagonal is always 2, so keys order the candidates as
+    their flat tuples do, and the least member is the least matrix of the
+    orbit.
+
+    Permuting by p moves the entries (x, y) of source pair (i, j) to the
+    cells (p^-1(i), p^-1(j)) and (p^-1(j), p^-1(i)): into the target
+    pair's digit d, or into the index of the transposed option when p
+    reverses their order.  So ``tables[s][d][k]`` is what digit d at
+    source pair s adds to the integer of the candidate permuted by the
+    k-th permutation, and a member is the sum of one entry per pair.  The
+    pairs are summed ahead into two halves, ``heads`` over the leading
+    digits and ``tails`` over the rest, so that an orbit costs one
+    elementwise sum."""
     pairs = list(itertools.combinations(range(n), 2))
     last = len(pairs) - 1
     slot = {pair: t for t, pair in enumerate(pairs)}
     base = len(options)
+    size = base ** len(pairs)
     index = {option: c for c, option in enumerate(options)}
-    straight = range(base)
     transposed = [index[y, x] for x, y in options]
-    tables = []
+    low = min(min(option) for option in options)
+    radix = 1 - low
+    # The row-major flat index of each off-diagonal cell, most significant
+    # first, and the place value of each cell in the key.
+    cells = [i * n + j for i in range(n) for j in range(n) if i != j]
+    place = {cell: radix ** (len(cells) - 1 - r)
+             for r, cell in enumerate(cells)}
+    inverses = []
     for p in itertools.permutations(range(n)):
         inverse = [0] * n
         for a, i in enumerate(p):
             inverse[i] = a
-        table = []
-        for i, j in pairs:
+        inverses.append(inverse)
+    tables = []
+    for i, j in pairs:
+        columns = []
+        for inverse in inverses:
             a, b = inverse[i], inverse[j]
+            upper, lower = place[a * n + b], place[b * n + a]
             if a < b:
-                weight, digit = base ** (last - slot[a, b]), straight
+                weight, digit = base ** (last - slot[a, b]), range(base)
             else:
                 weight, digit = base ** (last - slot[b, a]), transposed
-            table.append([weight * d for d in digit])
-        tables.append(table)
-    permutations = _flat_permutations(n)
+            columns.append([
+                ((x - low) * upper + (y - low) * lower) * size + weight * d
+                for (x, y), d in zip(options, digit)
+            ])
+        tables.append(list(zip(*columns)))
+
+    def summed(parts):
+        # Indexed by the base-len(options) number of the parts' digits.
+        out = [(0,) * len(inverses)]
+        for part in parts:
+            out = [tuple(map(operator.add, m, e)) for m in out for e in part]
+        return out
+
+    heads = summed(tables[:len(pairs) // 2])
+    tails = summed(tables[len(pairs) // 2:])
+
+    def members(pos):
+        head, tail = divmod(pos, len(tails))
+        return list(map(operator.add, heads[head], tails[tail]))
+
+    def decode(key):
+        flat = [2] * (n * n)
+        for cell in reversed(cells):
+            key, digit = divmod(key, radix)
+            flat[cell] = digit + low
+        return tuple(flat)
+
+    return size, members, decode
+
+
+def _class_representatives(n, options):
+    """Yield the least member of each class of candidate matrices (those
+    of ``_orbit_members``) under simultaneous row/column permutation, as a
+    row-major flat tuple, in the order of each class's first candidate.
+
+    The first unmarked position starts a class: the position of every
+    member of its orbit is marked, one byte per candidate, so that no
+    member starts a class again, and its least member is the
+    representative ``canonical_matrix`` would give."""
+    size, members, decode = _orbit_members(n, options)
     # Marked by position, never by a set of candidate tuples: in CPython
     # hash(-1) == hash(-2), so tuples whose entries differ only by
     # -1 <-> -2 all share one hash and such a set degrades to long
     # collision chains.
-    marked = bytearray(base ** len(pairs))
+    marked = bytearray(size)
     pos = marked.find(0)
     while pos >= 0:
-        digits = [0] * len(pairs)
-        c = pos
-        for t in range(last, -1, -1):
-            c, digits[t] = divmod(c, base)
-        for table in tables:
-            marked[sum(map(operator.getitem, table, digits))] = 1
-        flat = [2 if i == j else 0 for i in range(n) for j in range(n)]
-        for (i, j), d in zip(pairs, digits):
-            flat[i * n + j], flat[j * n + i] = options[d]
-        yield min(permute(flat) for permute in permutations)
+        orbit = members(pos)
+        for q in orbit:
+            marked[q % size] = 1
+        yield decode(min(orbit) // size)
         pos = marked.find(0, pos + 1)
 
 

@@ -62,8 +62,9 @@ def test_rd_requires_maximal_theta(ff_spec):
 def test_rd_witness_replay_must_agree_with_walk(rank7_spec, monkeypatch):
     # The witness root is replayed from its word; a root whose pairings
     # differ from the walk's is an internal error, not a witness.
+    # The first witness's word has six letters, so its replay reflects.
     monkeypatch.setattr(
-        weyl, "inversion_set_of_word", lambda spec, word: ((1, 0, 0, 0, 0, 0, 0),)
+        weyl, "reflect_simple", lambda spec, i, v: (1, 0, 0, 0, 0, 0, 0)
     )
     with pytest.raises(GCMError, match="disagrees with the orbit walk"):
         check_rd(rank7_spec, tuple(range(1, 7)), 6)
@@ -154,9 +155,8 @@ def test_prop51_ff_fails(ff_spec):
 def test_prop51_witness_replay_must_agree_with_walk(ff_spec, monkeypatch):
     # The witness root is replayed from its word; a root whose pairing
     # differs from the row the walk carried is an internal error.
-    monkeypatch.setattr(
-        weyl, "inversion_set_of_word", lambda spec, word: ((1, 0, 0),)
-    )
+    # The first witness's word is [2, 3], so its replay reflects.
+    monkeypatch.setattr(weyl, "reflect_simple", lambda spec, i, v: (1, 0, 0))
     with pytest.raises(GCMError, match="disagrees with the orbit walk"):
         check_prop51(ff_spec, 10)
 

@@ -7,6 +7,7 @@ root cap."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_criteria as ref
 import reference_weyl
 from kmrd import criteria, ff, weyl
-from kmrd.gcm import GCMError, is_finite_type, validate_gcm
+from kmrd.gcm import GCMError, NotSymmetrizable, is_finite_type, validate_gcm
 
 PAIRS = [(0, 0)] + list(itertools.product(range(-1, -4, -1), repeat=2))
 
@@ -60,16 +61,86 @@ def assert_same_reports(spec, max_length, thetas=None, scan_length=None):
                 outcome(getattr(ref, name), *args), name
 
 
-@st.composite
-def gcms(draw):
-    n = draw(st.integers(min_value=2, max_value=4))
+def symmetrizable_matrix(n, choose):
+    """A rank-n matrix with pairs from PAIRS that has a symmetrizer.
+
+    The pairs (a_ij, a_ji) are taken in combinations order, each by
+    ``choose(options)`` among the PAIRS that keep d_i a_ij = d_j a_ji
+    solvable: all of them when i and j are not yet joined by nonzero
+    pairs, else those whose ratio the joined pairs have fixed.  So every
+    matrix with a symmetrizer can come out, and no other."""
+    d = [Fraction(1)] * n  # d_i relative to its component's first node
+    component = list(range(n))
     matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        matrix[i][j], matrix[j][i] = draw(st.sampled_from(PAIRS))
+        if component[i] == component[j]:
+            options = [(x, y) for x, y in PAIRS if d[i] * x == d[j] * y]
+        else:
+            options = PAIRS
+        x, y = matrix[i][j], matrix[j][i] = choose(options)
+        if x and component[i] != component[j]:
+            # join j's component to i's, scaled so that d_j y = d_i x
+            scale, old = d[i] * x / (d[j] * y), component[j]
+            for k in range(n):
+                if component[k] == old:
+                    component[k], d[k] = component[i], d[k] * scale
+    return matrix
+
+
+@st.composite
+def gcms(draw):
+    # No draw is rejected as not symmetrizable; finite-type and singular
+    # ones still are.
+    n = draw(st.integers(min_value=2, max_value=4))
+    matrix = symmetrizable_matrix(n, lambda options: draw(st.sampled_from(options)))
     try:
         return validate_gcm(matrix)
     except GCMError:
         assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=6), data=st.data())
+def test_symmetrizable_matrix_has_a_symmetrizer(n, data):
+    matrix = symmetrizable_matrix(
+        n, lambda options: data.draw(st.sampled_from(options))
+    )
+    try:
+        validate_gcm(matrix)
+    except GCMError as exc:
+        assert not isinstance(exc, NotSymmetrizable), matrix
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gcms_can_return_every_accepted_matrix(n):
+    # What gcms can return, over every sequence of choices, against every
+    # matrix with pairs from PAIRS that validate_gcm accepts; an index past
+    # a shorter option list is skipped by the IndexError it raises.
+    def outcome(matrix):
+        try:
+            return validate_gcm(matrix).matrix
+        except GCMError as exc:
+            return type(exc)
+
+    pairs = list(itertools.combinations(range(n), 2))
+    every = set()
+    for choices in itertools.product(PAIRS, repeat=len(pairs)):
+        matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), (x, y) in zip(pairs, choices):
+            matrix[i][j], matrix[j][i] = x, y
+        every.add(outcome(matrix))
+    drawable = set()
+    for indices in itertools.product(range(len(PAIRS)), repeat=len(pairs)):
+        steps = iter(indices)
+        try:
+            matrix = symmetrizable_matrix(n, lambda options: options[next(steps)])
+        except IndexError:
+            continue
+        drawable.add(outcome(matrix))
+    assert NotSymmetrizable not in drawable
+    accepted = {m for m in every if isinstance(m, tuple)}
+    assert {m for m in drawable if isinstance(m, tuple)} == accepted
+    assert len(accepted) > 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,6 +178,30 @@ def assert_same_prop51(spec, max_length):
 @given(spec=gcms(), max_length=st.integers(min_value=0, max_value=7))
 def test_prop51_matches_reference_on_random_gcms(spec, max_length):
     assert_same_prop51(spec, max_length)
+
+
+@st.composite
+def reduced_words(draw):
+    """A GCM and a nonempty reduced word, one letter at a time: w s_i is
+    longer than w exactly when (w^-1 rho)_i > 0."""
+    spec = draw(gcms())
+    length = draw(st.integers(min_value=1, max_value=12))
+    word, mu = (), weyl.rho(spec)
+    for _ in range(length):
+        i = draw(st.sampled_from([i for i, c in enumerate(mu, 1) if c > 0]))
+        word, mu = word + (i,), weyl.reflect_weight(spec, i, mu)
+    return spec, word
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduced_words())
+def test_replayed_root_is_last_inversion_root(spec_word):
+    # The witness replay folds one root; inversion_set_of_word of the
+    # reversed word ends with it.
+    spec, word = spec_word
+    assert criteria._replayed_root(spec, word, ()) == (
+        weyl.inversion_set_of_word(spec, word[::-1])[-1]
+    )
 
 
 def test_prop51_matches_reference_on_ff_at_length_12(ff_spec):

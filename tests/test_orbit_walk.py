@@ -18,8 +18,8 @@ import reference_weyl as ref
 from kmrd import criteria, weyl
 from kmrd.gcm import GCMError, validate_gcm
 from kmrd.rank2 import rank2_spec
+from test_differential import gcms
 
-PAIRS = [(0, 0)] + list(itertools.product(range(-1, -4, -1), repeat=2))
 RANK7_THETA = (1, 2, 3, 4, 5, 6)
 
 
@@ -49,18 +49,6 @@ def relabelled(spec, seed):
     return validate_gcm(
         [[spec.matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     )
-
-
-@st.composite
-def gcms(draw):
-    n = draw(st.integers(min_value=2, max_value=4))
-    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        matrix[i][j], matrix[j][i] = draw(st.sampled_from(PAIRS))
-    try:
-        return validate_gcm(matrix)
-    except GCMError:
-        assume(False)
 
 
 def test_ball_matches_reference_on_ff(ff_spec):

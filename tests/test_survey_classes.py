@@ -1,10 +1,12 @@
 """The survey's class generation against the frozen per-candidate
-canonicalisation in ``reference_survey`` and against Burnside's lemma."""
+canonicalisation in ``reference_survey`` and against Burnside's lemma,
+and one candidate's orbit members against its permuted matrices."""
 
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_survey
 from kmrd import survey, weyl
@@ -173,3 +175,56 @@ def test_rank5_symmetric_reach_matches_reference():
     assert len(list(survey._class_representatives(5, _options(spec)))) == (
         _burnside_count(5, _options(spec))
     )
+
+
+# Every family of rank 2-5 with entries down to -7 that is under the cap.
+FAMILIES = [
+    (rank, entry_min, symmetric_only)
+    for rank in (2, 3, 4, 5)
+    for entry_min in range(-1, -8, -1)
+    for symmetric_only in (False, True)
+    if _candidates(rank, entry_min, symmetric_only) <= weyl.element_cap()
+]
+
+
+def _candidate_at(n, options, pos):
+    """The candidate at a position in itertools.product order, as rows."""
+    pairs = list(itertools.combinations(range(n), 2))
+    matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in reversed(pairs):
+        pos, c = divmod(pos, len(options))
+        matrix[i][j], matrix[j][i] = options[c]
+    return matrix
+
+
+def _position(matrix, options):
+    """The position of a candidate in itertools.product order."""
+    index = {option: c for c, option in enumerate(options)}
+    pos = 0
+    for i, j in itertools.combinations(range(len(matrix)), 2):
+        pos = pos * len(options) + index[matrix[i][j], matrix[j][i]]
+    return pos
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), data=st.data())
+def test_orbit_members_match_brute_force(family, data):
+    # One candidate's members against its orbit built by permuting rows and
+    # columns: the least member decodes to canonical_matrix, and the
+    # members' positions are the orbit's positions.
+    n, entry_min, symmetric_only = family
+    options = list(survey._pair_options(entry_min, symmetric_only))
+    size, members, decode = survey._orbit_members(n, options)
+    assert size == _candidates(n, entry_min, symmetric_only)
+    pos = data.draw(st.integers(min_value=0, max_value=size - 1))
+    candidate = _candidate_at(n, options, pos)
+    assert _position(candidate, options) == pos
+    orbit = members(pos)
+    assert len(orbit) == math.factorial(n)
+    least = canonical_matrix(candidate)
+    assert decode(min(orbit) // size) == tuple(x for row in least for x in row)
+    assert {q % size for q in orbit} == {
+        _position([[candidate[p[i]][p[j]] for j in range(n)]
+                   for i in range(n)], options)
+        for p in itertools.permutations(range(n))
+    }
