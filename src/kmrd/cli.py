@@ -54,6 +54,12 @@ def _describe_stats(stats):
     return "{" + ", ".join(items) + "}"
 
 
+def _theta_given(text):
+    """Whether --theta names a node: a text of only commas and whitespace
+    counts as absent, like no --theta at all."""
+    return bool(text) and not text.replace(",", " ").isspace()
+
+
 def _parse_theta(text):
     try:
         return tuple(sorted(int(x) for x in text.split(",") if x.strip()))
@@ -98,7 +104,7 @@ def cmd_weyl(args):
         "max_length": args.max_length,
         "layer_sizes": weyl.growth_series(spec, args.max_length),
     }
-    if args.theta:
+    if _theta_given(args.theta):
         theta = _parse_theta(args.theta)
         make_parabolic(spec, theta)
         # 0 on theta and 1 off it: the stabiliser of this weight is W_theta
@@ -116,7 +122,7 @@ def cmd_weyl(args):
 def cmd_check(args):
     spec = load_gcm(args.path)
     decider, takes_theta = _CHECKS[args.kind]
-    if bool(args.theta) != takes_theta:  # "" counts as no --theta
+    if _theta_given(args.theta) != takes_theta:
         need = "requires" if takes_theta else "takes no"
         raise GCMError(f"check {args.kind} {need} --theta")
     theta = [_parse_theta(args.theta)] if takes_theta else []

@@ -131,8 +131,13 @@ def validate_gcm(matrix, name=None):
     """Validate a generalized Cartan matrix and assemble its CartanSpec.
 
     Rejects singular matrices and matrices of finite type (the toolkit
-    only deals with infinite-dimensional algebras).
+    only deals with infinite-dimensional algebras), and a name that is
+    neither None nor a string.
     """
+    if name is not None and not isinstance(name, str):
+        raise GCMError(
+            f"name must be a string or null, got {type(name).__name__}"
+        )
     if not (isinstance(matrix, (list, tuple)) and matrix
             and all(isinstance(row, (list, tuple)) for row in matrix)):
         raise NotGCM("matrix must be a non-empty list of rows")

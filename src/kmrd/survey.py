@@ -120,11 +120,12 @@ def _orbit_members(n, options):
     orbit.
 
     Permuting by p moves the entries (x, y) of source pair (i, j) to the
-    cells (p^-1(i), p^-1(j)) and (p^-1(j), p^-1(i)): into the target
-    pair's digit d, or into the index of the transposed option when p
-    reverses their order.  So ``tables[s][d][k]`` is what digit d at
-    source pair s adds to the integer of the candidate permuted by the
-    k-th permutation, and a member is the sum of one entry per pair.  The
+    cells (p(i), p(j)) and (p(j), p(i)): into the target pair's digit d,
+    or into the index of the transposed option when p reverses their
+    order.  As p runs over every permutation, so does p^-1, so the members
+    are the orbit whichever of the two acts.  ``tables[s][d][k]`` is what
+    digit d at source pair s adds to the integer of the candidate moved by
+    the k-th permutation, and a member is the sum of one entry per pair.  The
     pairs are summed ahead into two halves, ``heads`` over the leading
     digits and ``tails`` over the rest, so that an orbit costs one
     elementwise sum."""
@@ -142,17 +143,12 @@ def _orbit_members(n, options):
     cells = [i * n + j for i in range(n) for j in range(n) if i != j]
     place = {cell: radix ** (len(cells) - 1 - r)
              for r, cell in enumerate(cells)}
-    inverses = []
-    for p in itertools.permutations(range(n)):
-        inverse = [0] * n
-        for a, i in enumerate(p):
-            inverse[i] = a
-        inverses.append(inverse)
+    perms = list(itertools.permutations(range(n)))
     tables = []
     for i, j in pairs:
         columns = []
-        for inverse in inverses:
-            a, b = inverse[i], inverse[j]
+        for p in perms:
+            a, b = p[i], p[j]
             upper, lower = place[a * n + b], place[b * n + a]
             if a < b:
                 weight, digit = base ** (last - slot[a, b]), range(base)
@@ -166,7 +162,7 @@ def _orbit_members(n, options):
 
     def summed(parts):
         # Indexed by the base-len(options) number of the parts' digits.
-        out = [(0,) * len(inverses)]
+        out = [(0,) * len(perms)]
         for part in parts:
             out = [tuple(map(operator.add, m, e)) for m in out for e in part]
         return out

@@ -6,8 +6,8 @@ coordinates <lambda, alpha_i^vee>, i = 1..n, so rho = (1, ..., 1) and the
 simple root alpha_i is column i of the Cartan matrix.  Words act by left
 composition: word (i1, ..., ik) is the map v -> s_i1(s_i2(... s_ik(v))).
 The integer matrix of w on root coordinates (column j = coordinates of
-w(alpha_j)) and the matrix of w^-1 are built only when asked for, one
-step from the parent's in an enumerated ball.
+w(alpha_j)) and the matrix of w^-1 are filled when the element is built,
+one step from the parent's in an enumerated ball.
 
 One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
 orbit W.rho, and the minimal coset representatives W^theta, as the orbit
@@ -54,21 +54,16 @@ class CapExceeded(RuntimeError):
 
 
 class WeylElem:
-    """A Weyl-group element: its word and mu = w^-1 rho, with the matrices
-    of w and of w^-1 computed on first use.  An element of
-    ``enumerate_by_length`` knows its parent, the element of word[:-1]
-    (ShortLex-least words are closed under prefixes), so each matrix is one
-    simple-reflection step from the parent's; any other element folds its
-    word."""
+    """A Weyl-group element: its word, mu = w^-1 rho, and the matrices of
+    w and of w^-1."""
 
-    __slots__ = ("word", "mu", "_spec", "_parent", "_matrix", "_inverse")
+    __slots__ = ("word", "mu", "matrix", "inverse")
 
-    def __init__(self, spec, word, mu, parent=None):
+    def __init__(self, word, mu, matrix, inverse):
         self.word = word  # canonical ShortLex reduced word, 1-based generator indices
         self.mu = mu      # w^-1 rho in weight coordinates
-        self._spec = spec
-        self._parent = parent
-        self._matrix = self._inverse = None
+        self.matrix = matrix    # integer action of w on root coordinates
+        self.inverse = inverse  # matrix of w^-1
 
     def __repr__(self):
         return f"WeylElem(word={self.word}, mu={self.mu})"
@@ -76,35 +71,6 @@ class WeylElem:
     @property
     def length(self):
         return len(self.word)
-
-    @property
-    def matrix(self):
-        """Integer action of w on root coordinates."""
-        return self._cached("_matrix", _mul_right_simple)
-
-    @property
-    def inverse(self):
-        """Matrix of the inverse element."""
-        return self._cached("_inverse", _mul_left_simple)
-
-    def _cached(self, slot, step):
-        """The matrix kept in slot: ``step`` by the last letter from the
-        parent's, up the chain of parents to the nearest element that has
-        it or has no parent, which folds its word.  Every element on the
-        way keeps its matrix."""
-        chain = []
-        w = self
-        while getattr(w, slot) is None and w._parent is not None:
-            chain.append(w)
-            w = w._parent
-        m = getattr(w, slot)
-        if m is None:
-            m = _fold(w._spec, w.word, step)
-            setattr(w, slot, m)
-        for w in reversed(chain):
-            m = step(w._spec, m, w.word[-1])
-            setattr(w, slot, m)
-        return m
 
 
 def simple_reflection_matrix(spec, i):
@@ -168,10 +134,12 @@ def _fold(spec, word, step):
 
 def word_to_element(spec, word):
     """Build the (not necessarily canonical) element of a word."""
+    word = tuple(word)
     mu = rho(spec)
     for i in word:
         mu = reflect_weight(spec, i, mu)
-    return WeylElem(spec, tuple(word), mu)
+    return WeylElem(word, mu, _fold(spec, word, _mul_right_simple),
+                    _fold(spec, word, _mul_left_simple))
 
 
 def apply(w, v):
@@ -243,15 +211,22 @@ def orbit_walk(spec, max_length, start):
 def enumerate_by_length(spec, max_length):
     """All distinct elements of length <= max_length, as a list of layers,
     each in ShortLex order: the walk on the orbit W.rho, after
-    ``growth_series`` has refused a bound past the element cap."""
+    ``growth_series`` has refused a bound past the element cap.  Both
+    matrices step by the last letter from the parent's, the element of
+    word[:-1] (ShortLex-least words are closed under prefixes)."""
     growth_series(spec, max_length)
     layers = [[word_to_element(spec, ())]]
     for nodes in orbit_walk(spec, max_length, (rho(spec),)):
         parents = {w.word: w for w in layers[-1]}
-        layers.append([
-            WeylElem(spec, word, mu, parents[word[:-1]])
-            for word, (mu,) in nodes
-        ])
+        layer = []
+        for word, (mu,) in nodes:
+            parent, i = parents[word[:-1]], word[-1]
+            layer.append(WeylElem(
+                word, mu,
+                _mul_right_simple(spec, parent.matrix, i),
+                _mul_left_simple(spec, parent.inverse, i),
+            ))
+        layers.append(layer)
     return layers
 
 

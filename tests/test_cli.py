@@ -251,7 +251,8 @@ def test_check_requires_theta(capsys, ff_path):
     assert "theta" in err
 
 
-# rd and lemma44 require --theta, prop51 and conj refuse it; "" is none
+# rd and lemma44 require --theta, prop51 and conj refuse it; a --theta of
+# only commas and whitespace is none
 @pytest.mark.parametrize("kind,theta,err", [
     ("rd", ["--theta", ""], "error: check rd requires --theta\n"),
     ("lemma44", [], "error: check lemma44 requires --theta\n"),
@@ -260,6 +261,13 @@ def test_check_requires_theta(capsys, ff_path):
     ("conj", ["--theta", "2,3"], "error: check conj takes no --theta\n"),
     ("prop51", ["--theta", ""], ""),
     ("conj", ["--theta", ""], ""),
+    ("rd", ["--theta", " "], "error: check rd requires --theta\n"),
+    ("rd", ["--theta", ","], "error: check rd requires --theta\n"),
+    ("lemma44", ["--theta", " , "], "error: check lemma44 requires --theta\n"),
+    ("prop51", ["--theta", "abc"], "error: check prop51 takes no --theta\n"),
+    ("prop51", ["--theta", " "], ""),
+    ("prop51", ["--theta", ","], ""),
+    ("conj", ["--theta", ","], ""),
 ])
 def test_check_theta_by_kind(capsys, ff_path, kind, theta, err):
     code, out, got = run_cli(
@@ -267,6 +275,30 @@ def test_check_theta_by_kind(capsys, ff_path, kind, theta, err):
     )
     assert (code, got) == ((2, err) if err else (0, ""))
     assert (out == "") == bool(err)
+
+
+@pytest.mark.parametrize("theta", ["", " ", ","])
+def test_weyl_theta_of_no_node_walks_the_ball(capsys, ff_path, theta):
+    argv = ("weyl", ff_path, "--max-length", "3")
+    assert run_cli(capsys, *argv, "--theta", theta) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("name", [["x"], {"x": 1}, 5])
+@pytest.mark.parametrize("command,options", [
+    (("validate",), ()),
+    (("check", "rd"), ("--theta", "2,3", "--max-length", "3", "--assert")),
+    (("weyl",), ("--max-length", "3")),
+])
+def test_name_that_is_not_a_string_is_input_error(capsys, tmp_path, ff_path,
+                                                   name, command, options):
+    """An unhashable name once reached an lru_cache key and ended in a
+    TypeError with exit 1, the code of a FAILED verdict under --assert."""
+    path = tmp_path / "named.json"
+    data = json.loads(pathlib.Path(ff_path).read_text())
+    path.write_text(json.dumps({**data, "name": name}))
+    code, out, err = run_cli(capsys, *command, str(path), *options)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: name must be a string or null")
 
 
 def test_check_rejects_nonmaximal_theta(capsys, ff_path):

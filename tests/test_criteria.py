@@ -24,7 +24,7 @@ from kmrd import (
 from kmrd import criteria, survey, weyl
 from kmrd.criteria import _coset_start, _scan, admissible_d
 from kmrd.gcm import NoAdmissibleD, is_finite_type, matrix_hash
-from test_differential import gcms
+from test_differential import gcms, report_body
 
 
 def test_rd_rank7_fails_with_known_witness(rank7_spec):
@@ -308,12 +308,6 @@ def test_property25_rank2_holds():
 
     for a, b in ((2, 3), (3, 3), (2, 4)):
         assert check_property25(rank2_spec(a, b), 8).verdict == HOLDS
-
-
-def report_body(report):
-    data = report_to_dict(report)
-    del data["meta"]
-    return data
 
 
 @pytest.mark.parametrize("gcm, max_length, count, stats, digest", [

@@ -20,15 +20,20 @@ from kmrd.gcm import GCMError, NotSymmetrizable, is_finite_type, validate_gcm
 PAIRS = [(0, 0)] + list(itertools.product(range(-1, -4, -1), repeat=2))
 
 
+def report_body(report):
+    """The report as a dict without its ``meta``, which holds the timing."""
+    data = criteria.report_to_dict(report)
+    del data["meta"]
+    return data
+
+
 def outcome(decider, *args, **kwargs):
     """The report without its timing, or the type of the error raised."""
     try:
         report = decider(*args, **kwargs)
     except GCMError as exc:
         return type(exc)
-    data = criteria.report_to_dict(report)
-    del data["meta"]
-    return data
+    return report_body(report)
 
 
 def maximal_thetas(spec):

@@ -24,8 +24,7 @@ from kmrd.gcm import (
     validate_gcm,
     weyl_vector,
 )
-
-PAIRS = [(0, 0)] + list(itertools.product(range(-1, -4, -1), repeat=2))
+from test_differential import PAIRS
 
 
 def all_ints(rows):

@@ -18,7 +18,7 @@ import reference_weyl as ref
 from kmrd import criteria, weyl
 from kmrd.gcm import GCMError, validate_gcm
 from kmrd.rank2 import rank2_spec
-from test_differential import gcms
+from test_differential import gcms, report_body
 
 RANK7_THETA = (1, 2, 3, 4, 5, 6)
 
@@ -83,7 +83,7 @@ def test_ball_matrices_step_from_the_parent(rank7_spec, monkeypatch, reverse):
     assert folded == [(), ()]
     word = layers[5][-1].word
     assert weyl.word_to_element(rank7_spec, word).matrix == layers[5][-1].matrix
-    assert folded == [(), (), word]
+    assert folded == [(), (), word, word]
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,12 +152,6 @@ def test_ball_size_counts_the_ball(ff_spec, rank7_spec):
     for spec, max_length in ((ff_spec, 12), (rank7_spec, 6)):
         layers = ref.enumerate_by_length(spec, max_length)
         assert weyl.ball_size(spec, max_length) == sum(len(l) for l in layers)
-
-
-def report_body(report):
-    data = criteria.report_to_dict(report)
-    del data["meta"]
-    return data
 
 
 def test_walk_deciders_build_no_matrix(ff_spec, rank7_spec, monkeypatch):
