@@ -335,20 +335,23 @@ def check_property25(spec, max_length, all_witnesses=False):
     every alpha in Phi_v is s_i(gamma) for some gamma in Phi_w other than
     beta, and alpha - beta = s_i(gamma + beta).  gamma + beta is positive
     and w sends it to a sum of two negative roots, so alpha - beta is a
-    real root exactly when gamma + beta is in Phi_w.  Only a witness
-    replays Phi_v, from the word of v, to list its blocking roots."""
+    real root exactly when gamma + beta is in Phi_w.  A witness lists its
+    blocking roots from Phi_v as the walk built it, one length earlier."""
     rho = weyl.rho(spec)
-    # mu = w^-1 rho -> word of w, filled as the scan goes: v = w s_i is
-    # shorter than w, so already seen.
-    by_mu = {rho: ()}
+    # mu = w^-1 rho -> Phi_w at the previous length and at the current one;
+    # v = w s_i is one shorter than w, and rho's stabiliser is trivial.
+    shorter, current, length = {}, {rho: ()}, 0
 
     def visit(word, vecs, inherited):
+        nonlocal shorter, current, length
         (mu,) = vecs
-        by_mu[mu] = word
+        if len(word) > length:
+            shorter, current, length = current, {}, len(word)
         j = word[-1]
         phi = (spec.simple_root(j),) + tuple(
             weyl.reflect_simple(spec, j, gamma) for gamma in inherited
         )
+        current[mu] = phi
         members = set(phi)
 
         def blocks(i, gamma):  # gamma + alpha_i in Phi_w
@@ -360,9 +363,9 @@ def check_property25(spec, max_length, all_witnesses=False):
             blocking = {}
             for i in descents:
                 # mu of v = w s_i is s_i(mu of w)
-                v = by_mu[weyl.reflect_weight(spec, i, mu)]
+                phi_v = shorter[weyl.reflect_weight(spec, i, mu)]
                 blocking[str(i)] = [
-                    list(alpha) for alpha in weyl.inversion_set_of_word(spec, v)
+                    list(alpha) for alpha in phi_v
                     if blocks(i, weyl.reflect_simple(spec, i, alpha))
                 ]
             yield {"word": list(word), "blocking": blocking}

@@ -18,6 +18,11 @@ def rank7_spec():
 
 
 @pytest.fixture(scope="session")
+def e10_spec():
+    return load_gcm(INPUTS / "e10.json")
+
+
+@pytest.fixture(scope="session")
 def ff_path():
     return str(INPUTS / "ff.json")
 

@@ -70,6 +70,35 @@ def test_rd_witness_replay_must_agree_with_walk(rank7_spec, monkeypatch):
         check_rd(rank7_spec, tuple(range(1, 7)), 6)
 
 
+def test_rd_e10_at_length_10(e10_spec):
+    # E10 is the T_{2,3,7} diagram: a chain 1-9 with node 10 joined to
+    # node 7.  Its ball up to L=10 has 141 273 elements, under the default
+    # cap; leaving out node 1 leaves affine E9, which has no finite Levi.
+    assert e10_spec.name == "E10"
+    assert e10_spec.det == -1
+    assert e10_spec.symmetrizer == (1,) * 10
+    assert not is_finite_type(e10_spec, range(2, 11))
+    fails = {
+        7: ([7, 6, 5, 4, 3, 2], [0, 1, 1, 1, 1, 1, 1, 0, 0, 0]),
+        6: ([6, 7, 8, 9, 10, 7, 6, 8, 7, 10], [0, 0, 0, 0, 0, 1, 2, 2, 1, 1]),
+    }
+    holds = {
+        2: Fraction(43, 2), 3: Fraction(13, 2), 4: Fraction(3, 2), 5: 1,
+        8: Fraction(1, 2), 9: 10, 10: Fraction(7, 2),
+    }
+    for node in range(2, 11):
+        theta = tuple(i for i in range(1, 11) if i != node)
+        report = check_rd(e10_spec, theta, 10)
+        assert report.stats["elements_enumerated"] == 141273
+        if node in fails:
+            assert report.verdict == FAILED
+            first = report.witnesses[0]
+            assert (first["word"], first["root"]) == fails[node]
+        else:
+            assert report.verdict == HOLDS
+            assert report.d_sup == holds[node]
+
+
 def test_rd_early_stop_vs_all_witnesses(rank7_spec):
     theta = tuple(range(1, 7))
     early = check_rd(rank7_spec, theta, 6)
@@ -383,21 +412,28 @@ def test_property25_runs_no_real_root_test(ff_spec, monkeypatch):
     assert len(got["witnesses"]) == 19
 
 
-def test_property25_holds_without_inversion_sets_from_words(monkeypatch):
-    # Only a witness replays an inversion set from a word.
+@pytest.mark.parametrize("gcm, max_length, verdict, count, checked", [
+    ("rank2", 20, HOLDS, 0, 40),
+    ("ff", 10, FAILED, 19, 187),
+], ids=["holds", "fails"])
+def test_property25_decides_without_inversion_sets_from_words(
+        ff_spec, monkeypatch, gcm, max_length, verdict, count, checked):
+    # No inversion set is rebuilt from a word, not even for a witness:
+    # each reads Phi_v from the walk's previous length.
     from kmrd.rank2 import rank2_spec
 
-    spec = rank2_spec(2, 3)
-    expected = report_body(check_property25(spec, 20, all_witnesses=True))
+    spec = rank2_spec(2, 3) if gcm == "rank2" else ff_spec
+    expected = report_body(ref.check_property25(spec, max_length, True))
 
     def refuse(*args):
         raise AssertionError("an inversion set was rebuilt from a word")
 
     monkeypatch.setattr(weyl, "inversion_set_of_word", refuse)
-    got = report_body(check_property25(spec, 20, all_witnesses=True))
+    got = report_body(check_property25(spec, max_length, all_witnesses=True))
     assert got == expected
-    assert got["verdict"] == HOLDS
-    assert got["stats"]["elements_checked"] == 40
+    assert got["verdict"] == verdict
+    assert len(got["witnesses"]) == count
+    assert got["stats"]["elements_checked"] == checked
 
 
 def test_report_dict_shape(ff_spec):
