@@ -15,8 +15,10 @@ from . import __version__, weyl
 from .gcm import (
     GCMError,
     NoAdmissibleD,
+    NotFiniteTypeLevi,
     NotMaximal,
     _check_theta,
+    is_finite_type,
     make_parabolic,
     matrix_hash,
     pair_with_coroot,
@@ -137,20 +139,26 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
     )
 
 
-def _coset_start(spec, par, shift=0):
+def _coset_start(spec, theta, shift=0):
     """(scale, (tau, sigma)): omega_P and shift omega_P + rho_M in weight
     coordinates, times the least positive integer that makes both integral.
-    By definition omega_P is the unit vector at i_P and rho_M is 1 on
-    theta, so the one entry that may be a fraction is sigma's at i_P,
-    x = shift + <rho_M, alpha_{i_P}^vee>, and scale is its denominator."""
-    x = shift + pair_with_coroot(
-        spec, par.rho_M, spec.simple_root(par.excluded_index)
-    )
-    i = par.excluded_index - 1
+    omega_P is the unit vector at p = i_P and rho_M is 1 on theta, so the
+    one entry that may be a fraction is sigma's at p,
+    x = shift + <rho_M, alpha_p^vee>, and scale is its denominator.
+
+    x is read off row p of adj A = det A A^-1.  rho_M lies in the span of
+    the theta roots, so its root coordinate at p, which is row p of A^-1
+    applied to its weight coordinates, is 0:
+    x adj[p][p] + sum_{j != p} adj[p][j] = 0, where adj[p][p] = det A_theta
+    is positive for a finite-type theta."""
+    (p,) = set(range(1, spec.rank + 1)) - set(theta)
+    row = spec.adjugate[p - 1]
+    det_theta = row[p - 1]
+    x = shift + Fraction(det_theta - sum(row), det_theta)
     scale = x.denominator
     tau = [0] * spec.rank
     sigma = [scale] * spec.rank
-    tau[i], sigma[i] = scale, x.numerator
+    tau[p - 1], sigma[p - 1] = scale, x.numerator
     return scale, (tuple(tau), tuple(sigma))
 
 
@@ -182,18 +190,24 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
 
     Runs on the orbit walk: the inversion roots of w^-1 are the roots its
     word prefixes add, each checked once at the prefix that adds it, with
-    both pairings read off the scaled integer weight coordinates."""
+    both pairings read off the scaled integer weight coordinates.  The
+    parabolic data is built only at the first witness, whose replayed root
+    checks both pairings against it."""
     theta = _require_maximal(spec, theta)
-    par = make_parabolic(spec, theta)
-    scale, start = _coset_start(spec, par)
+    if not is_finite_type(spec, theta):
+        raise NotFiniteTypeLevi(f"theta {theta} has non-finite Weyl group")
+    scale, start = _coset_start(spec, theta)
+    par = None
     least = None  # (num, den) of the least ratio -rho/omega so far
 
     def visit(word, vecs, bad):  # bad: the parent's failing roots
-        nonlocal least
+        nonlocal least, par
         tau, sigma = vecs
         i = word[-1] - 1
         omega, rho = -tau[i], -sigma[i]
         if rho >= 0:
+            if par is None:
+                par = make_parabolic(spec, theta)
             pairs = (Fraction(rho, scale), Fraction(omega, scale))
             root = _replayed_root(
                 spec, word, zip((par.rho_M, par.omega_P), pairs)
@@ -295,7 +309,7 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
     D = admissible_d(par, D)
-    scale, start = _coset_start(spec, par, D)
+    scale, start = _coset_start(spec, theta, D)
     # |det A| A^-1 = sign(det A) adj A, an integer matrix
     q = abs(spec.det)
     inverse = [[x * q // spec.det for x in row] for row in spec.adjugate]

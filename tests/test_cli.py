@@ -308,6 +308,25 @@ def test_check_rejects_nonmaximal_theta(capsys, ff_path):
     assert code == 2
 
 
+# ff without node 3 is affine A1; E10 without node 1 is affine E9.
+@pytest.mark.parametrize("path, theta", [
+    ("ff.json", "1,2"), ("e10.json", "2,3,4,5,6,7,8,9,10"),
+])
+@pytest.mark.parametrize("kind", ["rd", "lemma44"])
+@pytest.mark.parametrize("max_length", ["4", "-1"])
+def test_non_finite_levi_refused_before_work(capsys, path, theta, kind,
+                                             max_length):
+    # Refused before any walk, and before the bound is checked.
+    inputs = pathlib.Path(__file__).resolve().parent.parent / "inputs"
+    code, out, err = run_cli(
+        capsys, "check", kind, str(inputs / path), "--theta", theta,
+        "--max-length", max_length,
+    )
+    assert (code, out) == (2, "")
+    nodes = theta.replace(",", ", ")
+    assert err == f"error: theta ({nodes}) has non-finite Weyl group\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "rd"), ("check", "lemma44"), ("weyl",),
 ])

@@ -110,10 +110,19 @@ def test_rd_early_stop_vs_all_witnesses(rank7_spec):
     assert early.stats["roots_checked"] <= full.stats["roots_checked"]
 
 
-def test_rd_rank7_all_witnesses_at_length_12(rank7_spec):
+def test_rd_rank7_all_witnesses_at_length_12(rank7_spec, monkeypatch):
     # Measured before the scan driver took over the inherited failing
-    # roots; they must not move.
+    # roots; they must not move.  The parabolic data that the witness
+    # replays check against is built once, at the first witness.
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return make_parabolic(*args)
+
+    monkeypatch.setattr(criteria, "make_parabolic", counted)
     report = check_rd(rank7_spec, tuple(range(1, 7)), 12, all_witnesses=True)
+    assert len(built) == 1
     assert len(report.witnesses) == 281
     assert report.stats == {
         "elements_enumerated": 51332, "coset_reps": 1020,
@@ -123,6 +132,53 @@ def test_rd_rank7_all_witnesses_at_length_12(rank7_spec):
     assert hashlib.sha256(text).hexdigest() == (
         "008d9660268daaafb3ac7c205552213cab94400097a97a9d8ba1c21c64447480"
     )
+
+
+# E10's HOLDS reports at L=10 as reference_criteria.check_rd gives them,
+# about 8 s each there: (d_sup, coset_reps, roots_checked) by the node
+# left out of theta.
+E10_HOLDS_AT_10 = {
+    2: (Fraction(43, 2), 45, 325), 3: (Fraction(13, 2), 89, 687),
+    4: (Fraction(3, 2), 137, 1096), 5: (1, 191, 1562),
+    8: (Fraction(1, 2), 144, 1159), 9: (10, 36, 271),
+    10: (Fraction(7, 2), 76, 600),
+}
+
+
+def test_rd_holds_without_parabolic_data(ff_spec, e10_spec, monkeypatch):
+    # A HOLDS run reads its start off adj A and never needs rho_M or
+    # omega_P, which only a witness's replay checks against.
+    runs = [(ff_spec, theta, 18) for theta in ((2, 3), (1, 3))]
+    runs += [
+        (survey.validate_gcm(matrix), theta, 4)
+        for matrix, thetas in survey.enumerate_family(
+            survey.SurveySpec(rank=4, entry_min=-2, max_length=4)
+        )
+        for theta in thetas
+    ]
+    expected = [report_body(ref.check_rd(*run)) for run in runs]
+    holds = [
+        (run, body) for run, body in zip(runs, expected)
+        if body["verdict"] == HOLDS
+    ]
+    assert len(holds) == 2 + 205
+    for node, (d_sup, reps, roots) in E10_HOLDS_AT_10.items():
+        theta = tuple(i for i in range(1, 11) if i != node)
+        # The reference's report at L=0, with its values at L=10 put in.
+        holds.append(((e10_spec, theta, 10), {
+            **report_body(ref.check_rd(e10_spec, theta, 0)),
+            "max_length": 10, "d_sup": criteria._frac(d_sup),
+            "stats": {"elements_enumerated": 141273, "coset_reps": reps,
+                      "roots_checked": roots},
+        }))
+
+    def refuse(*args):
+        raise AssertionError("make_parabolic was called")
+
+    monkeypatch.setattr(criteria, "make_parabolic", refuse)
+    for (spec, theta, max_length), body in holds:
+        got = report_body(check_rd(spec, theta, max_length))
+        assert got == body, (spec.matrix, theta)
 
 
 class _State:
@@ -220,10 +276,13 @@ def test_admissible_d_ff(ff_spec):
         assert any(worse[i - 1] <= 0 for i in par.theta)
 
 
-def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec):
-    # The Fraction form the start read off the definitions replaced: the
+def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec,
+                                                 e10_spec):
+    # The Fraction form that the start read off adj A replaced: the
     # weight coordinates (A v)_i of omega_P and shift omega_P + rho_M
     # summed as Fractions, scaled by the lcm of all their denominators.
+    # Most matrices of the rank-3 and rank-4 families are not symmetric,
+    # so row i_P of adj A differs from its column i_P.
     def fraction_coords(spec, vectors):
         coords = [
             [Fraction(sum(a * x for a, x in zip(row, v)))
@@ -233,11 +292,13 @@ def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec):
         scale = math.lcm(*(x.denominator for c in coords for x in c))
         return scale, tuple(tuple(int(x * scale) for x in c) for c in coords)
 
-    family = survey.enumerate_family(
-        survey.SurveySpec(rank=3, entry_min=-3, max_length=2)
-    )
-    specs = [ff_spec, rank7_spec] + [
-        survey.validate_gcm(matrix) for matrix, _ in family
+    families = [
+        survey.enumerate_family(survey.SurveySpec(rank, entry_min, 2))
+        for rank, entry_min in ((3, -3), (4, -2))
+    ]
+    specs = [ff_spec, rank7_spec, e10_spec] + [
+        survey.validate_gcm(matrix) for family in families
+        for matrix, _ in family
     ]
     checked = 0
     for spec in specs:
@@ -255,7 +316,7 @@ def test_scaled_weight_coords_match_fraction_sums(ff_spec, rank7_spec):
                 vec = tuple(
                     shift * n + m for n, m in zip(par.omega_P, par.rho_M)
                 )
-                assert _coset_start(spec, par, shift) == (
+                assert _coset_start(spec, par.theta, shift) == (
                     fraction_coords(spec, (par.omega_P, vec))
                 )
                 checked += 1
