@@ -99,23 +99,24 @@ def _walk_words(spec, max_length, weight):
 
 def cmd_weyl(args):
     spec = load_gcm(args.path)
+    theta = _parse_theta(args.theta) if _theta_given(args.theta) else ()
+    make_parabolic(spec, theta)  # refuses a bad theta before the bound
     payload = {
         "name": spec.name,
         "max_length": args.max_length,
         "layer_sizes": weyl.growth_series(spec, args.max_length),
     }
-    if _theta_given(args.theta):
-        theta = _parse_theta(args.theta)
-        make_parabolic(spec, theta)
-        # 0 on theta and 1 off it: the stabiliser of this weight is W_theta
-        weight = tuple(int(i not in theta) for i in range(1, spec.rank + 1))
-        reps = _walk_words(spec, args.max_length, weight)
+    # 0 on theta and 1 off it, so rho when no theta is given: the
+    # stabiliser of this weight is W_theta
+    weight = tuple(int(i not in theta) for i in range(1, spec.rank + 1))
+    layers = _walk_words(spec, args.max_length, weight)
+    words = [list(w) for layer in layers for w in layer]
+    if theta:
         payload["theta"] = list(theta)
-        payload["coset_rep_layer_sizes"] = [len(l) for l in reps]
-        payload["coset_reps"] = [list(w) for layer in reps for w in layer]
+        payload["coset_rep_layer_sizes"] = [len(l) for l in layers]
+        payload["coset_reps"] = words
     else:
-        layers = _walk_words(spec, args.max_length, weyl.rho(spec))
-        payload["words"] = [list(w) for layer in layers for w in layer]
+        payload["words"] = words
     return payload, True
 
 
@@ -249,7 +250,7 @@ def main(argv=None):
         # stdout does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (GCMError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_ASSERT_FAILED if args.assert_ and not ok else EXIT_OK

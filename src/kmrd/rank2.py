@@ -86,9 +86,9 @@ def _check_hyperbolic(a, b):
         raise ValueError(f"requires a, b >= 2 and ab >= 5; got a={a}, b={b}")
 
 
-def rank2_spec(a, b, name=None):
+def rank2_spec(a, b):
     _check_hyperbolic(a, b)
-    return validate_gcm([[2, -b], [-a, 2]], name=name or f"rank2(a={a},b={b})")
+    return validate_gcm([[2, -b], [-a, 2]], name=f"rank2(a={a},b={b})")
 
 
 def _h_sequence(a, b, length):
@@ -209,12 +209,13 @@ def _family_scan(a, b, max_n):
     return first_violation, closed_form_matches, display_matches
 
 
-def verify_prop52(a, b, max_n, rd_max_length=None):
+def verify_prop52(a, b, max_n):
     """Check the strict sign inequalities behind the rank-2 sufficiency
     statement for both root families up to max_n, resolve the published
     coefficient discrepancy by oracle, and cross-check with the bounded
-    Property RD scan for both maximal parabolics, whose bound is refused
-    by ``weyl.ball_size`` before the scans if negative or over the cap.
+    Property RD scan for both maximal parabolics at 2 max_n + 2, the
+    length of the families' words, a bound that ``weyl.ball_size`` refuses
+    before the scans if it is over the cap.
 
     The theta={2} parabolic is controlled by the (a, b) families against
     alpha_2; the theta={1} parabolic is the same statement with the two
@@ -224,8 +225,7 @@ def verify_prop52(a, b, max_n, rd_max_length=None):
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     spec = rank2_spec(a, b)
-    if rd_max_length is None:
-        rd_max_length = 2 * max_n + 2
+    rd_max_length = 2 * max_n + 2
     weyl.ball_size(spec, rd_max_length)
     viol_2, match_2, display_matches = _family_scan(a, b, max_n)
     viol_1, match_1, _ = _family_scan(b, a, max_n)

@@ -312,14 +312,16 @@ def test_check_rejects_nonmaximal_theta(capsys, ff_path):
 @pytest.mark.parametrize("path, theta", [
     ("ff.json", "1,2"), ("e10.json", "2,3,4,5,6,7,8,9,10"),
 ])
-@pytest.mark.parametrize("kind", ["rd", "lemma44"])
-@pytest.mark.parametrize("max_length", ["4", "-1"])
+@pytest.mark.parametrize("kind", ["rd", "lemma44", "weyl"])
+@pytest.mark.parametrize("max_length", ["4", "-1", "1000000"])
 def test_non_finite_levi_refused_before_work(capsys, path, theta, kind,
                                              max_length):
-    # Refused before any walk, and before the bound is checked.
+    # Refused before any walk, and before the bound is checked: a
+    # negative bound or one past the element cap is never reached.
     inputs = pathlib.Path(__file__).resolve().parent.parent / "inputs"
+    command = ("weyl",) if kind == "weyl" else ("check", kind)
     code, out, err = run_cli(
-        capsys, "check", kind, str(inputs / path), "--theta", theta,
+        capsys, *command, str(inputs / path), "--theta", theta,
         "--max-length", max_length,
     )
     assert (code, out) == (2, "")

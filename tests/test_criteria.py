@@ -335,8 +335,47 @@ def test_lemma44_rank7_holds(rank7_spec):
     assert report.verdict == HOLDS
 
 
-def test_lemma44_explicit_d(ff_spec):
-    report = check_lemma44(ff_spec, (2, 3), 6, D=Fraction(1, 4))
+# Every finite-Levi theta of E10 and rank7 at L=10, as the node left out:
+# (node, D = 1/k as k, coset reps).  E10 without node 1 and rank7 without
+# node 4 have an infinite Levi.
+LEMMA44_AT_10 = {
+    "e10_spec": (141273, [
+        (2, 3, 45), (3, 5, 89), (4, 7, 137), (5, 9, 191), (6, 13, 258),
+        (7, 43, 346), (8, 19, 144), (9, 1, 36), (10, 3, 76),
+    ]),
+    "rank7_spec": (18484, [
+        (1, 1, 113), (2, 7, 522), (3, 3, 208), (5, 1, 97), (6, 1, 97),
+        (7, 6, 435),
+    ]),
+}
+
+
+@pytest.mark.parametrize("fixture", list(LEMMA44_AT_10))
+def test_lemma44_every_finite_levi_at_10(request, fixture):
+    spec = request.getfixturevalue(fixture)
+    elements, cases = LEMMA44_AT_10[fixture]
+    nodes = set(range(1, spec.rank + 1))
+    assert [node for node, _, _ in cases] == [
+        i for i in sorted(nodes) if is_finite_type(spec, nodes - {i})
+    ]
+    for node, k, reps in cases:
+        report = check_lemma44(spec, tuple(sorted(nodes - {node})), 10)
+        assert report.verdict == HOLDS
+        assert report.extra == {
+            "D": {"num": 1, "den": k},
+            "strict_everywhere": True,
+            "first_non_strict": None,
+        }
+        assert report.stats == {
+            "elements_enumerated": elements, "coset_reps": reps,
+        }
+
+
+def test_lemma44_explicit_d(ff_spec, monkeypatch):
+    monkeypatch.setattr(
+        criteria, "admissible_d", lambda par: Fraction(1, 4)
+    )
+    report = check_lemma44(ff_spec, (2, 3), 6)
     assert report.extra["D"] == {"num": 1, "den": 4}
     assert report.verdict == HOLDS
 
@@ -373,14 +412,6 @@ def test_lemma44_first_non_strict_at_a_fixed_d(ff_spec, monkeypatch):
             {"num": 3, "den": 4}, {"num": 0, "den": 1}, {"num": 1, "den": 2},
         ]},
     }
-
-
-@pytest.mark.parametrize("D", [0, -1, 5, 0.5])
-def test_lemma44_refuses_inadmissible_d(ff_spec, D):
-    # On ff with theta = (2, 3), D is admissible exactly for 0 < D < 1/2;
-    # a float is refused whatever its value.
-    with pytest.raises(NoAdmissibleD):
-        check_lemma44(ff_spec, (2, 3), 6, D=D)
 
 
 def test_property25_ff_fails_on_braid_element(ff_spec):

@@ -147,9 +147,9 @@ def test_verify_prop52_ok():
 
 
 def test_verify_prop52_asymmetric():
-    report = verify_prop52(2, 4, 8, rd_max_length=12)
+    report = verify_prop52(2, 4, 8)
     assert report["ok"] is True
-    assert report["rd_max_length"] == 12
+    assert report["rd_max_length"] == 18
 
 
 def test_sign_inequality_direct():
@@ -164,8 +164,6 @@ def test_sign_inequality_direct():
 def test_verify_prop52_rejects_negative_bounds():
     with pytest.raises(ValueError, match="max_n"):
         verify_prop52(2, 3, -1)
-    with pytest.raises(ValueError, match="max_length"):
-        verify_prop52(2, 3, 2, rd_max_length=-1)
 
 
 def test_verify_prop52_refuses_over_cap_bound_before_scanning(monkeypatch):
