@@ -92,7 +92,7 @@ def _walk_words(spec, max_length, weight):
     """The words of the orbit walk from weight, layer by layer from the
     empty word."""
     return [[()]] + [
-        [word for word, _ in nodes]
+        [word for word, _, _ in nodes]
         for nodes in weyl.orbit_walk(spec, max_length, (weight,))
     ]
 

@@ -95,7 +95,9 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
     order, and collects the witnesses it yields, stopping at the first one
     unless all_witnesses.  visit returns the node's state; ``inherited`` is
     its parent's (word less the last letter), ``first`` for the identity.
-    The walk goes layer by layer, so only the parents' layer is kept.
+    The walk goes layer by layer, so only the parents' layer is kept, as a
+    list in walk order: each node reads its parent's state at the parent
+    position the walk gives it, with no word sliced or hashed.
     ``stats`` holds ``elements_enumerated`` from ``weyl.ball_size``, the
     one check of the element cap and of a negative bound, made first; then
     the nodes visited under node_key, their lengths' sum under length_key.
@@ -106,10 +108,10 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
 
     def found():
         nonlocal nodes, letters
-        below = {(): first}
+        below = [first]
         for layer in weyl.orbit_walk(spec, max_length, start):
-            states = {}
-            for word, vecs in layer:
+            states = []
+            for word, vecs, parent in layer:
                 # Counted before its witnesses, up to the early stop.  The
                 # lengths are roots_checked: check_rd checks each root of
                 # Phi_{w^-1} at the prefix that adds it and inherits it had
@@ -118,7 +120,7 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
                 # descent, and ascents is never empty.
                 nodes += 1
                 letters += len(word)
-                states[word] = yield from visit(word, vecs, below[word[:-1]])
+                states.append((yield from visit(word, vecs, below[parent])))
             below = states
 
     witnesses = list(itertools.islice(found(), None if all_witnesses else 1))
@@ -238,30 +240,43 @@ def check_prop51(spec, max_length, all_witnesses=False):
     alpha in Phi_{w^-1} and every simple i with w^-1(alpha_i) > 0.
 
     Walks the ball from (rho, alpha_1, ..., alpha_n) in weight coordinates,
-    alpha_i being column i of A.  The node w = x s_j adds one root alpha to
-    Phi_{w^-1}, read off as its row (<alpha_i, alpha^vee>)_i.  A is
-    nonsingular, so a row determines its root: i is a left ascent of w
-    exactly when row i of A, the row of alpha_i, is not among the rows of
-    Phi_{w^-1}.  Phi_{w^-1} is Phi_{x^-1} plus alpha, so w inherits x's
-    ascents, less i when alpha is alpha_i, and x's failing pairs
-    (root, i, pairing) at those ascents; alpha's own pairs come last, its
-    root replayed once from the word, at this node."""
+    alpha_i being column i of A.  The node w = x s_j adds one root
+    beta = x alpha_j to Phi_{w^-1}, and the walk gives its pairings:
+    <rho, beta^vee> = -vecs[0][j] and <alpha_i, beta^vee> = -vecs[1+i][j].
+    i is a left ascent of w exactly when alpha_i is not in Phi_{w^-1}.
+    Phi_{w^-1} is Phi_{x^-1} plus beta, so w inherits x's ascents, less g
+    when beta is alpha_g, and x's failing pairs (root, i, pairing) at
+    those ascents; beta's own pairs come last, its root replayed once
+    from the word, at this node.
+
+    beta^vee = x alpha_j^vee is a positive real coroot, and rho pairs to 1
+    with every simple coroot, so <rho, beta^vee> is the height of beta^vee.
+    It is 1 exactly when beta^vee is a simple coroot alpha_g^vee, that is
+    when beta is alpha_g (x alpha_j^vee = alpha_g^vee gives
+    x alpha_j = alpha_g, as x s_j x^-1 = s_g).  Only then is beta's row
+    (<alpha_i, beta^vee>)_i built: it is row g of A, and A is nonsingular,
+    so the row names g."""
     simple = {row: i for i, row in enumerate(spec.matrix)}
 
     def visit(word, vecs, inherited):
         ascents, bad = inherited  # of the parent x
         j = word[-1] - 1
-        row = tuple(-v[j] for v in vecs[1:])
-        g = simple.get(row)
-        if g is not None:
+        if vecs[0][j] == -1:  # <rho, beta^vee> = 1: beta is simple
+            row = tuple(-v[j] for v in vecs[1:])
+            g = simple.get(row)
+            if g is None:
+                raise GCMError(
+                    f"internal invariant violated: the root that word {word} "
+                    f"adds has height-1 coroot but pairings {row}, no row of A"
+                )
             ascents = tuple(i for i in ascents if i != g)
             bad = tuple(pair for pair in bad if pair[1] != g)
-        new = [i for i in ascents if row[i] > 0]
+        new = [(i, -vecs[1 + i][j]) for i in ascents if vecs[1 + i][j] < 0]
         if new:
             root = _replayed_root(
-                spec, word, [(spec.simple_root(i + 1), row[i]) for i in new]
+                spec, word, [(spec.simple_root(i + 1), p) for i, p in new]
             )
-            bad += tuple((root, i, row[i]) for i in new)
+            bad += tuple((root, i, p) for i, p in new)
         for root, i, pairing in bad:
             yield {
                 "word": list(word),

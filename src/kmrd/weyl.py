@@ -11,7 +11,11 @@ one step from the parent's in an enumerated ball.
 
 One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
 orbit W.rho, and the minimal coset representatives W^theta, as the orbit
-of a weight whose stabiliser is W_theta.  The ball is counted, layer by
+of a weight whose stabiliser is W_theta.  Its nodes are
+(word, vecs, parent): the ShortLex-least word of w, the walked weights
+moved by w^-1, and the position of the node of word[:-1] in the previous
+layer, by which a caller hands each node its parent's state without
+slicing or hashing a word.  The ball is counted, layer by
 layer, from its growth series (``growth_series``), without a walk, and
 that count is the one check of the element cap.  One closure of the
 simple roots under the reflections that raise the height, ``_closure``,
@@ -157,8 +161,11 @@ def orbit_walk(spec, max_length, start):
     """Walk the orbit of the weight start[0] in integer weight coordinates.
 
     Yields the layers of lengths 1, 2, ..., max_length, stopping at the
-    first empty one.  A layer is a list of nodes (word, vecs) in ShortLex
-    order, with vecs[k] = w^-1 start[k].  The walk has no element cap:
+    first empty one.  A layer is a list of nodes (word, vecs, parent) in
+    ShortLex order, with vecs[k] = w^-1 start[k] and parent the position,
+    in the previous layer, of the node of word[:-1] (0, the identity, for
+    the first layer), so a caller that keeps a list per layer reads the
+    parent's entry by position.  The walk has no element cap:
     every orbit it walks lies inside the Weyl ball, so a caller refuses an
     over-cap bound with ``growth_series`` before it starts.
 
@@ -188,10 +195,10 @@ def orbit_walk(spec, max_length, start):
             out[j] -= c * a
         return tuple(out)
 
-    layer = [((), tuple(start))]
+    layer = [((), tuple(start), None)]
     for _ in range(max_length):
         children = {}
-        for word, vecs in layer:
+        for parent, (word, vecs, _) in enumerate(layer):
             for i, c in enumerate(vecs[0]):
                 if c <= 0:
                     continue
@@ -201,6 +208,7 @@ def orbit_walk(spec, max_length, start):
                 children[child] = (
                     word + (i + 1,),
                     (child, *[reflect(v, i) for v in vecs[1:]]),
+                    parent,
                 )
         if not children:
             return
@@ -213,14 +221,15 @@ def enumerate_by_length(spec, max_length):
     each in ShortLex order: the walk on the orbit W.rho, after
     ``growth_series`` has refused a bound past the element cap.  Both
     matrices step by the last letter from the parent's, the element of
-    word[:-1] (ShortLex-least words are closed under prefixes)."""
+    word[:-1] (ShortLex-least words are closed under prefixes), read from
+    the previous layer at the node's parent position."""
     growth_series(spec, max_length)
     layers = [[word_to_element(spec, ())]]
     for nodes in orbit_walk(spec, max_length, (rho(spec),)):
-        parents = {w.word: w for w in layers[-1]}
+        parents = layers[-1]
         layer = []
-        for word, (mu,) in nodes:
-            parent, i = parents[word[:-1]], word[-1]
+        for word, (mu,), p in nodes:
+            parent, i = parents[p], word[-1]
             layer.append(WeylElem(
                 word, mu,
                 _mul_right_simple(spec, parent.matrix, i),

@@ -246,6 +246,59 @@ def test_prop51_witness_replay_must_agree_with_walk(ff_spec, monkeypatch):
         check_prop51(ff_spec, 10)
 
 
+def assert_simple_exactly_at_height_one(spec, max_length):
+    """On every node x s_j of the walk from (rho, alpha_1, ..., alpha_n),
+    the root beta = x alpha_j it adds has <rho, beta^vee> = -vecs[0][j]
+    equal to 1 exactly when its pairings (<alpha_i, beta^vee>)_i =
+    (-vecs[1+i][j])_i are a row of A, that is when beta is simple.
+    Returns how often each side occurred, as {False: n, True: m}."""
+    rows = set(spec.matrix)
+    seen = {False: 0, True: 0}
+    start = (weyl.rho(spec), *zip(*spec.matrix))
+    for layer in weyl.orbit_walk(spec, max_length, start):
+        for word, vecs, _ in layer:
+            j = word[-1] - 1
+            simple = tuple(-v[j] for v in vecs[1:]) in rows
+            assert (vecs[0][j] == -1) == simple
+            seen[simple] += 1
+    return seen
+
+
+@pytest.mark.parametrize("gcm, max_length", [
+    ("ff_spec", 14), ("rank7_spec", 6), ("e10_spec", 5),
+])
+def test_simple_roots_are_the_height_one_coroots(request, gcm, max_length):
+    seen = assert_simple_exactly_at_height_one(
+        request.getfixturevalue(gcm), max_length
+    )
+    assert min(seen.values()) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=gcms(), max_length=st.integers(min_value=1, max_value=6))
+def test_simple_roots_are_the_height_one_coroots_on_random_gcms(
+        spec, max_length):
+    assert_simple_exactly_at_height_one(spec, max_length)
+
+
+def test_prop51_height_one_root_must_be_a_row_of_a(ff_spec, monkeypatch):
+    # Every node of the first layer adds a simple root; pairings shifted
+    # off the rows of A there are an internal error, not a new ascent.
+    walk = weyl.orbit_walk
+
+    def shifted(spec, max_length, start):
+        for layer in walk(spec, max_length, start):
+            yield [
+                (word, (vecs[0], *[tuple(x + 1 for x in v) for v in vecs[1:]]),
+                 parent)
+                for word, vecs, parent in layer
+            ]
+
+    monkeypatch.setattr(weyl, "orbit_walk", shifted)
+    with pytest.raises(GCMError, match="no row of A"):
+        check_prop51(ff_spec, 3)
+
+
 def test_prop51_ff_counts_at_length_18(ff_spec):
     # Computed before the scan inherited its state; they must not move.
     report = check_prop51(ff_spec, 18, all_witnesses=True)
@@ -460,7 +513,7 @@ def assert_property25_lemma(spec, max_length):
     rho = weyl.rho(spec)
     words = {rho: ()}  # mu = w^-1 rho -> word of w
     for layer in weyl.orbit_walk(spec, max_length, (rho,)):
-        words.update((vecs[0], word) for word, vecs in layer)
+        words.update((vecs[0], word) for word, vecs, _ in layer)
     seen = {False: 0, True: 0}
     for mu, word in words.items():
         phi_w = set(weyl.inversion_set_of_word(spec, word))

@@ -61,6 +61,49 @@ def test_ball_matches_reference_on_relabelled_rank7(rank7_spec):
     assert_same_ball(relabelled(rank7_spec, 7), 8)
 
 
+def assert_parents_by_position(spec, max_length, start):
+    """In every layer of the walk from start, each node's parent position
+    points at the node of its word less the last letter in the previous
+    layer (the identity for the first)."""
+    previous = [((), tuple(start), None)]
+    for layer in weyl.orbit_walk(spec, max_length, start):
+        for word, _, parent in layer:
+            assert previous[parent][0] == word[:-1]
+        previous = layer
+
+
+def coset_weight(spec, theta):
+    """0 on theta and 1 off it: its stabiliser is W_theta, so its walk
+    gives the coset representatives W^theta."""
+    return tuple(int(i not in theta) for i in range(1, spec.rank + 1))
+
+
+@pytest.mark.parametrize("gcm, max_length", [
+    ("ff", 14), ("relabelled rank7", 6),
+])
+def test_walk_gives_each_node_its_parent_position(ff_spec, rank7_spec,
+                                                  gcm, max_length):
+    spec = ff_spec if gcm == "ff" else relabelled(rank7_spec, 7)
+    assert_parents_by_position(spec, max_length, (weyl.rho(spec),))
+    for p in range(1, spec.rank + 1):
+        theta = set(range(1, spec.rank + 1)) - {p}
+        assert_parents_by_position(
+            spec, max_length + 4, (coset_weight(spec, theta),)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=gcms(), max_length=st.integers(min_value=0, max_value=6),
+       data=st.data())
+def test_walk_gives_each_node_its_parent_position_on_random_gcms(
+        spec, max_length, data):
+    theta = data.draw(st.sets(st.integers(1, spec.rank)))
+    assert_parents_by_position(spec, max_length, (weyl.rho(spec),))
+    assert_parents_by_position(
+        spec, max_length, (coset_weight(spec, theta),)
+    )
+
+
 def test_ball_matrices_step_from_the_parent(rank7_spec, monkeypatch):
     """Only the identity folds its word; every other element of an
     enumerated ball takes one step from its parent's matrices."""
