@@ -88,15 +88,6 @@ def cmd_roots(args):
     }, True
 
 
-def _walk_words(spec, max_length, weight):
-    """The words of the orbit walk from weight, layer by layer from the
-    empty word."""
-    return [[()]] + [
-        [word for word, _, _ in nodes]
-        for nodes in weyl.orbit_walk(spec, max_length, (weight,))
-    ]
-
-
 def cmd_weyl(args):
     spec = load_gcm(args.path)
     theta = _parse_theta(args.theta) if _theta_given(args.theta) else ()
@@ -109,7 +100,10 @@ def cmd_weyl(args):
     # 0 on theta and 1 off it, so rho when no theta is given: the
     # stabiliser of this weight is W_theta
     weight = tuple(int(i not in theta) for i in range(1, spec.rank + 1))
-    layers = _walk_words(spec, args.max_length, weight)
+    layers = [[()]] + [
+        [word for word, _, _ in nodes]
+        for nodes in weyl.orbit_walk(spec.matrix, args.max_length, (weight,))
+    ]
     words = [list(w) for layer in layers for w in layer]
     if theta:
         payload["theta"] = list(theta)

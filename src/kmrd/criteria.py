@@ -91,10 +91,11 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
     """The bounded scan every decider runs.
 
     Runs the generator ``visit(word, vecs, inherited)`` on each nontrivial
-    node of ``weyl.orbit_walk`` from start, up to max_length in ShortLex
-    order, and collects the witnesses it yields, stopping at the first one
-    unless all_witnesses.  visit returns the node's state; ``inherited`` is
-    its parent's (word less the last letter), ``first`` for the identity.
+    node of ``weyl.orbit_walk`` on spec.matrix from start, up to
+    max_length in ShortLex order, and collects the witnesses it yields,
+    stopping at the first one unless all_witnesses.  visit returns the
+    node's state; ``inherited`` is its parent's (word less the last
+    letter), ``first`` for the identity.
     The walk goes layer by layer, so only the parents' layer is kept, as a
     list in walk order: each node reads its parent's state at the parent
     position the walk gives it, with no word sliced or hashed.
@@ -109,7 +110,7 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
     def found():
         nonlocal nodes, letters
         below = [first]
-        for layer in weyl.orbit_walk(spec, max_length, start):
+        for layer in weyl.orbit_walk(spec.matrix, max_length, start):
             states = []
             for word, vecs, parent in layer:
                 # Counted before its witnesses, up to the early stop.  The

@@ -11,11 +11,13 @@ one step from the parent's in an enumerated ball.
 
 One orbit walk, ``orbit_walk``, enumerates both the Weyl ball, as the
 orbit W.rho, and the minimal coset representatives W^theta, as the orbit
-of a weight whose stabiliser is W_theta.  Its nodes are
-(word, vecs, parent): the ShortLex-least word of w, the walked weights
-moved by w^-1, and the position of the node of word[:-1] in the previous
-layer, by which a caller hands each node its parent's state without
-slicing or hashing a word.  The ball is counted, layer by
+of a weight whose stabiliser is W_theta.  It takes the Cartan matrix, not
+a validated spec, so the same walk serves a Levi sub-diagram A_J, even
+a finite or affine one, which ``validate_gcm`` refuses.  Its
+nodes are (word, vecs, parent): the ShortLex-least word of w, the walked
+weights moved by w^-1, and the position of the node of word[:-1] in the
+previous layer, by which a caller hands each node its parent's state
+without slicing or hashing a word.  The ball is counted, layer by
 layer, from its growth series (``growth_series``), without a walk, and
 that count is the one check of the element cap.  One closure of the
 simple roots under the reflections that raise the height, ``_closure``,
@@ -157,17 +159,23 @@ def check_max_length(max_length):
         raise GCMError(f"max_length must be >= 0, got {max_length}")
 
 
-def orbit_walk(spec, max_length, start):
-    """Walk the orbit of the weight start[0] in integer weight coordinates.
+def orbit_walk(matrix, max_length, start):
+    """Walk the orbit of the weight start[0] in integer weight coordinates,
+    under the Weyl group of the Cartan matrix given as a tuple of rows.
 
     Yields the layers of lengths 1, 2, ..., max_length, stopping at the
     first empty one.  A layer is a list of nodes (word, vecs, parent) in
     ShortLex order, with vecs[k] = w^-1 start[k] and parent the position,
     in the previous layer, of the node of word[:-1] (0, the identity, for
     the first layer), so a caller that keeps a list per layer reads the
-    parent's entry by position.  The walk has no element cap:
-    every orbit it walks lies inside the Weyl ball, so a caller refuses an
-    over-cap bound with ``growth_series`` before it starts.
+    parent's entry by position.
+
+    The walk reads nothing but the matrix, so it runs as well on a
+    sub-diagram that ``validate_gcm`` refuses, such as the finite or
+    affine A_J of a Levi support J.  It has no element cap.  For a
+    validated spec, every orbit it walks lies inside the Weyl ball, which
+    ``growth_series`` counts before the walk starts; the orbit of a finite
+    sub-diagram bounds itself, as the walk ends at its first empty layer.
 
     Since <lambda, w(alpha_i)^vee> = (w^-1 lambda)_i, extending w by s_i
     goes up exactly when that coordinate of w^-1 start[0] is positive, and
@@ -184,8 +192,8 @@ def orbit_walk(spec, max_length, start):
     # alpha_i in weight coordinates (column i of A) by its nonzero entries:
     # reflect is reflect_weight specialised for this loop
     alphas = [
-        [(j, row[i]) for j, row in enumerate(spec.matrix) if row[i]]
-        for i in range(spec.rank)
+        [(j, row[i]) for j, row in enumerate(matrix) if row[i]]
+        for i in range(len(matrix))
     ]
 
     def reflect(v, i):
@@ -225,7 +233,7 @@ def enumerate_by_length(spec, max_length):
     the previous layer at the node's parent position."""
     growth_series(spec, max_length)
     layers = [[word_to_element(spec, ())]]
-    for nodes in orbit_walk(spec, max_length, (rho(spec),)):
+    for nodes in orbit_walk(spec.matrix, max_length, (rho(spec),)):
         parents = layers[-1]
         layer = []
         for word, (mu,), p in nodes:
@@ -248,8 +256,8 @@ def ball_size(spec, max_length):
 def growth_series(spec, max_length):
     """The layer sizes [1, |W_1|, ..., |W_L|], L = max_length, of the
     Weyl ball, where W_k holds the elements of length k.  It is the one
-    check of the element cap, and every caller of ``orbit_walk`` makes it
-    first.
+    check of the element cap, and every caller of ``orbit_walk`` on a
+    validated spec makes it first.
 
     Steinberg's formula (Humphreys, Reflection Groups and Coxeter Groups,
     5.12) gives, for infinite W, the growth series W(t) as the inverse of

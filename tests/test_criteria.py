@@ -255,7 +255,7 @@ def assert_simple_exactly_at_height_one(spec, max_length):
     rows = set(spec.matrix)
     seen = {False: 0, True: 0}
     start = (weyl.rho(spec), *zip(*spec.matrix))
-    for layer in weyl.orbit_walk(spec, max_length, start):
+    for layer in weyl.orbit_walk(spec.matrix, max_length, start):
         for word, vecs, _ in layer:
             j = word[-1] - 1
             simple = tuple(-v[j] for v in vecs[1:]) in rows
@@ -512,7 +512,7 @@ def assert_property25_lemma(spec, max_length):
     that equivalence occurred, as {False: n, True: m}."""
     rho = weyl.rho(spec)
     words = {rho: ()}  # mu = w^-1 rho -> word of w
-    for layer in weyl.orbit_walk(spec, max_length, (rho,)):
+    for layer in weyl.orbit_walk(spec.matrix, max_length, (rho,)):
         words.update((vecs[0], word) for word, vecs, _ in layer)
     seen = {False: 0, True: 0}
     for mu, word in words.items():

@@ -66,7 +66,7 @@ def assert_parents_by_position(spec, max_length, start):
     points at the node of its word less the last letter in the previous
     layer (the identity for the first)."""
     previous = [((), tuple(start), None)]
-    for layer in weyl.orbit_walk(spec, max_length, start):
+    for layer in weyl.orbit_walk(spec.matrix, max_length, start):
         for word, _, parent in layer:
             assert previous[parent][0] == word[:-1]
         previous = layer
@@ -221,7 +221,7 @@ def walk_sizes(spec, max_length, cap=None):
         weyl.ball_size(spec, max_length)
     return [1] + [
         len(layer) for layer in
-        weyl.orbit_walk(spec, max_length, (weyl.rho(spec),))
+        weyl.orbit_walk(spec.matrix, max_length, (weyl.rho(spec),))
     ]
 
 
@@ -299,7 +299,7 @@ def test_negative_bounds_rejected(ff_spec):
     for run in (
         lambda: weyl.growth_series(ff_spec, -1),
         lambda: weyl.ball_size(ff_spec, -1),
-        lambda: list(weyl.orbit_walk(ff_spec, -1, (weyl.rho(ff_spec),))),
+        lambda: list(weyl.orbit_walk(ff_spec.matrix, -1, (weyl.rho(ff_spec),))),
         lambda: criteria.check_prop51(ff_spec, -1),
         lambda: criteria.check_rd(ff_spec, (2, 3), -2),
     ):
@@ -324,11 +324,11 @@ def test_no_decider_walks_the_ball_to_count_it(ff_spec, rank7_spec,
     walk = weyl.orbit_walk
     starts = []
 
-    def guarded(spec, max_length, start, *args):
-        if tuple(start) == (weyl.rho(spec),):
+    def guarded(matrix, max_length, start, *args):
+        if tuple(start) == ((1,) * len(matrix),):
             raise AssertionError("walked W.rho")
         starts.append(start)
-        return walk(spec, max_length, start, *args)
+        return walk(matrix, max_length, start, *args)
 
     monkeypatch.setattr(weyl, "orbit_walk", guarded)
     assert [report_body(f(*args)) for f, args in runs] == expected
