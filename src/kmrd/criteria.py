@@ -8,7 +8,6 @@ infinite group.
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, weyl
@@ -28,19 +27,23 @@ FAILED = "FAILED_WITH_WITNESS"
 HOLDS = "HOLDS_UP_TO_BOUND"
 
 
-@dataclass
 class CheckReport:
-    check: str
-    gcm_name: str | None
-    matrix: tuple
-    theta: tuple | None
-    max_length: int
-    verdict: str
-    witnesses: list
-    d_sup: Fraction | None
-    stats: dict
-    wall_time_ms: int = 0
-    extra: dict = field(default_factory=dict)
+    """One decider's result.  It stays mutable: ``check_rd`` and
+    ``check_lemma44`` set ``d_sup`` and ``extra`` after the scan."""
+
+    def __init__(self, check, gcm_name, matrix, theta, max_length, verdict,
+                 witnesses, d_sup, stats, wall_time_ms=0, extra=None):
+        self.check = check
+        self.gcm_name = gcm_name
+        self.matrix = matrix
+        self.theta = theta
+        self.max_length = max_length
+        self.verdict = verdict
+        self.witnesses = witnesses
+        self.d_sup = d_sup
+        self.stats = stats
+        self.wall_time_ms = wall_time_ms
+        self.extra = {} if extra is None else extra
 
     @property
     def failed(self):

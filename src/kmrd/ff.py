@@ -6,7 +6,6 @@ The linear bijection psi sends x*alpha_1 + y*alpha_2 + z*alpha_3 to
 roots are exactly the symmetric matrices of determinant -1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import criteria
@@ -23,11 +22,24 @@ def ff_cartan_spec():
     return validate_gcm(FF_MATRIX, name="feingold-frenkel")
 
 
-@dataclass(frozen=True)
 class SymMat:
-    n1: int
-    n2: int
-    n3: int
+    """The symmetric matrix [[n1, n2], [n2, n3]]."""
+
+    __slots__ = ("n1", "n2", "n3")
+
+    def __init__(self, n1, n2, n3):
+        self.n1, self.n2, self.n3 = n1, n2, n3
+
+    def __eq__(self, other):
+        if type(other) is not SymMat:
+            return NotImplemented
+        return (self.n1, self.n2, self.n3) == (other.n1, other.n2, other.n3)
+
+    def __hash__(self):
+        return hash((self.n1, self.n2, self.n3))
+
+    def __repr__(self):
+        return f"SymMat(n1={self.n1!r}, n2={self.n2!r}, n3={self.n3!r})"
 
     def det(self):
         return self.n1 * self.n3 - self.n2 * self.n2
@@ -36,27 +48,31 @@ class SymMat:
         return SymMat(-self.n1, -self.n2, -self.n3)
 
 
-@dataclass(frozen=True)
 class PGL2Elem:
     """2x2 integer matrix of determinant +-1, sign-canonicalized so that
     +-g collapse to one representative."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) != 1:
+    def __init__(self, a, b, c, d):
+        if abs(a * d - b * c) != 1:
             raise ValueError("determinant must be +-1")
-        for entry in (self.a, self.b, self.c, self.d):
-            if entry:
-                if entry < 0:
-                    object.__setattr__(self, "a", -self.a)
-                    object.__setattr__(self, "b", -self.b)
-                    object.__setattr__(self, "c", -self.c)
-                    object.__setattr__(self, "d", -self.d)
-                break
+        if (a or b or c or d) < 0:  # the first nonzero entry is negative
+            a, b, c, d = -a, -b, -c, -d
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other):
+        if type(other) is not PGL2Elem:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == \
+            (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return (f"PGL2Elem(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r})")
 
     def __mul__(self, other):
         return PGL2Elem(

@@ -7,7 +7,7 @@ in the simple-root basis; entries are ints or Fractions, never floats.
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -50,15 +50,17 @@ class NoAdmissibleD(GCMError):
     """No positive D makes D*omega_P + rho_M coordinate-positive on theta."""
 
 
-@dataclass(frozen=True)
-class CartanSpec:
-    rank: int
-    matrix: tuple          # rank x rank, integer entries
-    symmetrizer: tuple     # positive integers, gcd 1
-    adjugate: tuple        # rank x rank integers, adj A = det(A) A^-1
-    det: int               # det A, nonzero
-    name: str | None = None
-    gram: tuple = field(default=None, repr=False)  # diag(d) @ A, symmetric
+class CartanSpec(namedtuple(
+    "CartanSpec",
+    "rank matrix symmetrizer adjugate det name gram",
+    defaults=(None, None),
+)):
+    """A validated GCM and its integer data: ``matrix`` (rank x rank
+    integer entries), ``symmetrizer`` (positive integers, gcd 1),
+    ``adjugate`` (adj A = det(A) A^-1), ``det`` (det A, nonzero), ``name``
+    (a string or None) and ``gram`` (diag(d) @ A, symmetric)."""
+
+    __slots__ = ()
 
     def simple_root(self, i):
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
@@ -229,14 +231,14 @@ def weyl_vector(spec):
     return tuple(Fraction(sum(row), spec.det) for row in spec.adjugate)
 
 
-@dataclass(frozen=True)
-class ParabolicSpec:
-    spec: CartanSpec
-    theta: tuple                # sorted 1-based node indices
-    excluded_index: int | None  # i_P, set only when |theta| = rank - 1
-    rho_M: tuple
-    omega_P: tuple | None
-    rho_P: tuple | None
+class ParabolicSpec(namedtuple(
+    "ParabolicSpec", "spec theta excluded_index rho_M omega_P rho_P",
+)):
+    """The parabolic data of ``make_parabolic``: ``theta`` holds the sorted
+    1-based node indices, and ``excluded_index`` (i_P), ``omega_P`` and
+    ``rho_P`` are set only when |theta| = rank - 1."""
+
+    __slots__ = ()
 
 
 def make_parabolic(spec, theta):

@@ -11,8 +11,6 @@ verify_prop52 re-derives the correction against the reflection oracle.
 """
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import criteria, weyl
 from .gcm import validate_gcm
@@ -22,14 +20,25 @@ A2_FAMILY = "A2-type"   # (w1 w2)^n w1 alpha_2
 _DISPLAY_MAX_N = 5      # the printed A2 display is checked for n <= 5
 
 
-@dataclass(frozen=True)
 class QuadNum:
     """x + y*sqrt(rad), x and y exact rationals (ints in Z[sqrt(rad)]),
     rad a positive non-square."""
 
-    x: int | Fraction
-    y: int | Fraction
-    rad: int
+    __slots__ = ("x", "y", "rad")
+
+    def __init__(self, x, y, rad):
+        self.x, self.y, self.rad = x, y, rad
+
+    def __eq__(self, other):
+        if type(other) is not QuadNum:
+            return NotImplemented
+        return (self.x, self.y, self.rad) == (other.x, other.y, other.rad)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.rad))
+
+    def __repr__(self):
+        return f"QuadNum(x={self.x!r}, y={self.y!r}, rad={self.rad!r})"
 
     def __add__(self, other):
         self._check(other)

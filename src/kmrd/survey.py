@@ -14,7 +14,7 @@ import json
 import operator
 import os
 import time
-from dataclasses import dataclass, asdict
+from collections import namedtuple
 
 from . import criteria, weyl
 from .gcm import (
@@ -41,25 +41,28 @@ def ProcessPoolExecutor(max_workers):
     return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
-@dataclass(frozen=True)
-class SurveySpec:
-    rank: int
-    entry_min: int            # off-diagonal entries range over [entry_min, 0]
-    max_length: int
-    symmetric_only: bool = False
+class SurveySpec(namedtuple(
+    "SurveySpec", "rank entry_min max_length symmetric_only",
+)):
+    """A survey family: every matrix of the given rank whose off-diagonal
+    entries range over [entry_min, 0], checked up to max_length."""
 
-    def __post_init__(self):
-        if not 2 <= self.rank <= 5:
+    __slots__ = ()
+
+    def __new__(cls, rank, entry_min, max_length, symmetric_only=False):
+        if not 2 <= rank <= 5:
             raise ValueError("rank must be between 2 and 5")
-        if self.entry_min >= 0:
+        if entry_min >= 0:
             raise ValueError("entry_min must be negative")
-        weyl.check_max_length(self.max_length)
+        weyl.check_max_length(max_length)
+        return super().__new__(cls, rank, entry_min, max_length,
+                               symmetric_only)
 
     def digest(self):
         """The checkpoint's hash of the spec and the element cap, on which
         the records also depend."""
         payload = json.dumps(
-            {**asdict(self), "max_elements": weyl.element_cap()},
+            {**self._asdict(), "max_elements": weyl.element_cap()},
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()

@@ -591,6 +591,32 @@ def test_commands_load_only_what_they_run(tmp_path):
     }
 
 
+# Importing dataclasses, and the inspect, ast, dis and tokenize it pulls in,
+# took about 10 ms of every kmrd process. pytest loads both, so the check
+# runs in a fresh interpreter; CI runs this same script under the oldest
+# supported Python.
+STARTUP_IMPORTS = """
+import sys
+heavy = ("dataclasses", "inspect")
+import kmrd.cli
+after_cli = [name for name in heavy if name in sys.modules]
+import kmrd.survey
+after_survey = [name for name in heavy if name in sys.modules]
+print(after_cli, after_survey)
+sys.exit(1 if after_cli or after_survey else 0)
+"""
+
+
+def test_startup_loads_no_dataclasses():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_IMPORTS],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[] []\n"), proc.stderr
+
+
 def test_closed_stdout_is_not_an_input_error(ff_path):
     # The weyl output at L=16 (about 139 kB) is more than a pipe holds, so
     # writing it meets the closed pipe.

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from kmrd import weyl
+from kmrd import criteria, weyl
 from kmrd.ff import (
     BETA1,
     BETA2,
@@ -47,6 +47,27 @@ def test_pgl2_sign_canonicalization():
     assert PGL2Elem(0, -1, -1, 0) == PGL2Elem(0, 1, 1, 0)
     with pytest.raises(ValueError):
         PGL2Elem(1, 0, 0, 2)
+
+
+def test_equal_specs_share_the_growth_cache():
+    a, b = ff_cartan_spec(), ff_cartan_spec()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    criteria.check_rd(a, (2, 3), 8)
+    hits = weyl._recurrence.cache_info().hits
+    criteria.check_rd(b, (2, 3), 8)
+    assert weyl._recurrence.cache_info().hits > hits
+
+
+@pytest.mark.parametrize("make, fields", [
+    (SymMat, (0, -1, 1)),
+    (PGL2Elem, (0, 1, 1, 0)),
+])
+def test_ring_elements_hash_and_are_not_tuples(make, fields):
+    x = make(*fields)
+    assert hash(x) == hash(make(*fields))
+    assert len({x, make(*fields)}) == 1
+    assert x != fields and fields != x
 
 
 def test_generators_are_involutions():

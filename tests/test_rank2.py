@@ -36,6 +36,13 @@ def test_quadnum_arithmetic():
         u + q(1, 1, 5)
 
 
+def test_quadnum_hashes_and_is_not_a_tuple():
+    u = q(1, 2, 6)
+    assert hash(u) == hash(q(1, 2, 6))
+    assert len({u, q(1, 2, 6)}) == 1
+    assert u != (1, 2, 6) and (1, 2, 6) != u
+
+
 def test_quadnum_sign_exact():
     assert q(0, 0, 6).sign() == 0
     assert q(-7, 3, 6).sign() == 1    # 3*sqrt(6) = sqrt(54) > 7

@@ -35,6 +35,16 @@ def test_spec_digest_depends_on_fields():
     assert a.digest() != b.digest()
 
 
+def test_spec_digest_is_pinned(monkeypatch):
+    # Checkpoints already written carry this digest, taken under the
+    # default cap; if it changed, --resume would refuse them.
+    monkeypatch.delenv("KMRD_MAX_ELEMENTS", raising=False)
+    spec = SurveySpec(rank=4, entry_min=-2, max_length=4)
+    assert spec.digest() == (
+        "6da3737c0124fba44a29486f44276febfaefc732c2407f3e86827b0d4f43a143"
+    )
+
+
 def test_canonical_matrix_permutation_invariant():
     m = ((2, -1, 0), (-2, 2, -3), (0, -1, 2))
     n = 3
