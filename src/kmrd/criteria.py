@@ -6,7 +6,6 @@ evidence of success, since the underlying quantifier ranges over an
 infinite group.
 """
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -93,41 +92,44 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
           first=None, node_key=None, length_key=None):
     """The bounded scan every decider runs.
 
-    Runs the generator ``visit(word, vecs, inherited)`` on each nontrivial
-    node of ``weyl.orbit_walk`` on spec.matrix from start, up to
-    max_length in ShortLex order, and collects the witnesses it yields,
-    stopping at the first one unless all_witnesses.  visit returns the
-    node's state; ``inherited`` is its parent's (word less the last
-    letter), ``first`` for the identity.
+    Calls ``visit(word, vecs, inherited, out)`` on each nontrivial node of
+    ``weyl.orbit_walk`` on spec.matrix from start, up to max_length in
+    ShortLex order.  visit appends the node's witnesses to ``out`` and
+    returns the node's state; ``inherited`` is its parent's (word less
+    the last letter), ``first`` for the identity.  Unless all_witnesses,
+    the scan stops at the first node that appends a witness and keeps
+    only the first witness it appended.
     The walk goes layer by layer, so only the parents' layer is kept, as a
     list in walk order: each node reads its parent's state at the parent
     position the walk gives it, with no word sliced or hashed.
     ``stats`` holds ``elements_enumerated`` from ``weyl.ball_size``, the
     one check of the element cap and of a negative bound, made first; then
-    the nodes visited under node_key, their lengths' sum under length_key.
+    the nodes visited under node_key, their lengths' sum under length_key,
+    both counted per layer, up to and including the node of an early stop.
+    The lengths are roots_checked: check_rd checks each root of
+    Phi_{w^-1} at the prefix that adds it and inherits it had it failed;
+    in check_prop51, W is infinite (validate_gcm rejects finite type), so
+    no w has every s_i as a left descent, and ascents is never empty.
     """
     t0 = time.monotonic()
     stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
     nodes = letters = 0
-
-    def found():
-        nonlocal nodes, letters
-        below = [first]
-        for layer in weyl.orbit_walk(spec.matrix, max_length, start):
-            states = []
-            for word, vecs, parent in layer:
-                # Counted before its witnesses, up to the early stop.  The
-                # lengths are roots_checked: check_rd checks each root of
-                # Phi_{w^-1} at the prefix that adds it and inherits it had
-                # it failed; in check_prop51, W is infinite (validate_gcm
-                # rejects finite type), so no w has every s_i as a left
-                # descent, and ascents is never empty.
-                nodes += 1
-                letters += len(word)
-                states.append((yield from visit(word, vecs, below[parent])))
-            below = states
-
-    witnesses = list(itertools.islice(found(), None if all_witnesses else 1))
+    stop = not all_witnesses
+    witnesses = []
+    below = [first]
+    walk = weyl.orbit_walk(spec.matrix, max_length, start)
+    for length, layer in enumerate(walk, 1):
+        states = []
+        for word, vecs, parent in layer:
+            states.append(visit(word, vecs, below[parent], witnesses))
+            if stop and witnesses:
+                break
+        nodes += len(states)
+        letters += length * len(states)
+        if stop and witnesses:
+            del witnesses[1:]
+            break
+        below = states
     for key, count in ((node_key, nodes), (length_key, letters)):
         if key:
             stats[key] = count
@@ -206,7 +208,7 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
     par = None
     least = None  # (num, den) of the least ratio -rho/omega so far
 
-    def visit(word, vecs, bad):  # bad: the parent's failing roots
+    def visit(word, vecs, bad, out):  # bad: the parent's failing roots
         nonlocal least, par
         tau, sigma = vecs
         i = word[-1] - 1
@@ -222,12 +224,12 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
         elif least is None or -rho * least[1] < least[0] * omega:
             least = (-rho, omega)
         for root, (rho_pair, omega_pair) in bad:
-            yield {
+            out.append({
                 "word": list(word),
                 "root": list(root),
                 "rho_M_pairing": _frac(rho_pair),
                 "omega_P_pairing": _frac(omega_pair),
-            }
+            })
         return bad
 
     report = _scan(
@@ -262,7 +264,7 @@ def check_prop51(spec, max_length, all_witnesses=False):
     so the row names g."""
     simple = {row: i for i, row in enumerate(spec.matrix)}
 
-    def visit(word, vecs, inherited):
+    def visit(word, vecs, inherited, out):
         ascents, bad = inherited  # of the parent x
         j = word[-1] - 1
         if vecs[0][j] == -1:  # <rho, beta^vee> = 1: beta is simple
@@ -282,12 +284,12 @@ def check_prop51(spec, max_length, all_witnesses=False):
             )
             bad += tuple((root, i, p) for i, p in new)
         for root, i, pairing in bad:
-            yield {
+            out.append({
                 "word": list(word),
                 "root": list(root),
                 "simple_index": i + 1,
                 "pairing": _frac(pairing),
-            }
+            })
         return ascents, bad
 
     start = (weyl.rho(spec), *zip(*spec.matrix))
@@ -335,12 +337,12 @@ def check_lemma44(spec, theta, max_length, all_witnesses=False):
     def exact(image):
         return [_frac(Fraction(x, q * scale)) for x in image]
 
-    def visit(word, vecs, _):
+    def visit(word, vecs, _, out):
         nonlocal first_non_strict
         mu = vecs[1]
         image = [sum(a * x for a, x in zip(row, mu)) for row in inverse]
         if any(x < 0 for x in image):
-            yield {"word": list(word), "image": exact(image)}
+            out.append({"word": list(word), "image": exact(image)})
         elif any(x == 0 for x in image) and first_non_strict is None:
             first_non_strict = {"word": list(word), "image": exact(image)}
 
@@ -373,7 +375,7 @@ def check_property25(spec, max_length, all_witnesses=False):
     # v = w s_i is one shorter than w, and rho's stabiliser is trivial.
     shorter, current, length = {}, {rho: ()}, 0
 
-    def visit(word, vecs, inherited):
+    def visit(word, vecs, inherited, out):
         nonlocal shorter, current, length
         (mu,) = vecs
         if len(word) > length:
@@ -399,7 +401,7 @@ def check_property25(spec, max_length, all_witnesses=False):
                     list(alpha) for alpha in phi_v
                     if blocks(i, weyl.reflect_simple(spec, i, alpha))
                 ]
-            yield {"word": list(word), "blocking": blocking}
+            out.append({"word": list(word), "blocking": blocking})
         return phi
 
     return _scan(

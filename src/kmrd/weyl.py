@@ -26,6 +26,7 @@ finite W_J of the growth series.
 """
 
 import functools
+import operator
 import os
 
 from . import linalg
@@ -90,12 +91,11 @@ def simple_reflection_matrix(spec, i):
 
 
 def reflect_simple(spec, i, v):
-    """s_i(v) = v - <v, alpha_i^vee> alpha_i."""
-    a = spec.matrix[i - 1]
-    coeff = sum(a[j] * v[j] for j in range(spec.rank))
-    return tuple(
-        v[j] - coeff if j == i - 1 else v[j] for j in range(spec.rank)
-    )
+    """s_i(v) = v - <v, alpha_i^vee> alpha_i, for a tuple v in root
+    coordinates: only coordinate i changes, by <v, alpha_i^vee>, which is
+    row i of A times v."""
+    coeff = sum(map(operator.mul, spec.matrix[i - 1], v))
+    return v[:i - 1] + (v[i - 1] - coeff,) + v[i:]
 
 
 def reflect_weight(spec, i, v):
@@ -187,37 +187,45 @@ def orbit_walk(matrix, max_length, start):
     layer only, and the first (ShortLex-least) word to reach a weight is
     kept.  The new inversion root w(alpha_i) of w s_i thus pairs with
     start[k] to -vecs[k][i-1] of the child.
+
+    s_i subtracts v_i times column i of A, so each candidate child copies
+    vecs[0] once into a list and changes it at the nonzero entries of that
+    column only.  The other vectors are moved the same way, by their own
+    coordinate i, and only once the child is new; a vector whose
+    coordinate i is 0 is fixed by s_i and passed on as it is.
     """
     check_max_length(max_length)
-    # alpha_i in weight coordinates (column i of A) by its nonzero entries:
-    # reflect is reflect_weight specialised for this loop
+    # alpha_i in weight coordinates (column i of A) by its nonzero entries
     alphas = [
         [(j, row[i]) for j, row in enumerate(matrix) if row[i]]
         for i in range(len(matrix))
     ]
-
-    def reflect(v, i):
-        c = v[i]
-        out = list(v)
-        for j, a in alphas[i]:
-            out[j] -= c * a
-        return tuple(out)
-
     layer = [((), tuple(start), None)]
     for _ in range(max_length):
         children = {}
         for parent, (word, vecs, _) in enumerate(layer):
-            for i, c in enumerate(vecs[0]):
+            head = vecs[0]
+            rest = vecs[1:]
+            for i, c in enumerate(head):
                 if c <= 0:
                     continue
-                child = reflect(vecs[0], i)
+                alpha = alphas[i]
+                child = list(head)
+                for j, a in alpha:
+                    child[j] -= c * a
+                child = tuple(child)
                 if child in children:
                     continue
-                children[child] = (
-                    word + (i + 1,),
-                    (child, *[reflect(v, i) for v in vecs[1:]]),
-                    parent,
-                )
+                moved = [child]
+                for v in rest:
+                    d = v[i]
+                    if d:  # s_i fixes a vector whose coordinate i is 0
+                        v = list(v)
+                        for j, a in alpha:
+                            v[j] -= d * a
+                        v = tuple(v)
+                    moved.append(v)
+                children[child] = (word + (i + 1,), tuple(moved), parent)
         if not children:
             return
         layer = list(children.values())
@@ -461,6 +469,7 @@ def is_real_root(spec, v):
     """
     if any(not isinstance(x, int) for x in v):
         raise GCMError("is_real_root expects integer coordinates")
+    v = tuple(v)
     if bilinear_form(spec, v, v) <= 0:
         return False
     if all(x <= 0 for x in v):

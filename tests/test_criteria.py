@@ -196,7 +196,7 @@ def test_scan_hands_each_node_its_parents_state(ff_spec, all_witnesses):
     refs = {}  # word -> weakref to the state visit returned for it
     visited = []
 
-    def visit(word, vecs, inherited):
+    def visit(word, vecs, inherited, out):
         if len(word) == 1:
             assert inherited is first
         else:
@@ -208,7 +208,7 @@ def test_scan_hands_each_node_its_parents_state(ff_spec, all_witnesses):
             )
         visited.append(word)
         if len(word) == 4:
-            yield {"word": list(word)}
+            out.append({"word": list(word)})
         state = _State(word)
         refs[word] = weakref.ref(state)
         return state
@@ -226,6 +226,45 @@ def test_scan_hands_each_node_its_parents_state(ff_spec, all_witnesses):
         "letters": sum(map(len, visited)),
     }
 
+
+@pytest.mark.parametrize("all_witnesses", [False, True])
+def test_scan_keeps_the_first_of_two_witnesses_at_one_node(ff_spec,
+                                                           all_witnesses):
+    # A synthetic visit on the ff ball appends two witnesses at the third
+    # node of length 4, which is not the last of its layer: a first-witness
+    # scan returns the first of them alone, and its counts stop at that
+    # node, not at the end of its layer.
+    start = (weyl.rho(ff_spec),)
+    sizes = weyl.growth_series(ff_spec, 6)
+    layer = list(weyl.orbit_walk(ff_spec.matrix, 6, start))[3]
+    assert len(layer) > 3
+    target = layer[2][0]
+    visited = []
+
+    def visit(word, vecs, inherited, out):
+        visited.append(word)
+        if word == target:
+            out.append({"word": list(word), "at": 1})
+            out.append({"word": list(word), "at": 2})
+
+    report = _scan(
+        "synthetic", ff_spec, None, 6, all_witnesses, visit, start, None,
+        "nodes", "letters",
+    )
+    both = [{"word": list(target), "at": at} for at in (1, 2)]
+    if all_witnesses:
+        assert report.witnesses == both
+        assert len(visited) == sum(sizes) - 1
+    else:
+        assert report.witnesses == both[:1]
+        assert visited[-1] == target
+        assert len(visited) == sum(sizes[:4]) + 2
+    assert report.verdict == FAILED
+    assert report.stats == {
+        "elements_enumerated": sum(sizes),
+        "nodes": len(visited),
+        "letters": sum(map(len, visited)),
+    }
 
 def test_prop51_ff_fails(ff_spec):
     report = check_prop51(ff_spec, 10)

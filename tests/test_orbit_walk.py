@@ -12,13 +12,15 @@ import random
 from unittest import mock
 
 import pytest
+from types import SimpleNamespace
+
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_weyl as ref
 from kmrd import criteria, weyl
 from kmrd.gcm import GCMError, validate_gcm
 from kmrd.rank2 import rank2_spec
-from test_differential import gcms, report_body
+from test_differential import gcms, maximal_thetas, report_body
 
 RANK7_THETA = (1, 2, 3, 4, 5, 6)
 
@@ -91,6 +93,75 @@ def test_walk_gives_each_node_its_parent_position(ff_spec, rank7_spec,
             spec, max_length + 4, (coset_weight(spec, theta),)
         )
 
+
+def assert_companions_fold(matrix, max_length, start):
+    """Every node's vecs[k] is start[k] folded through ``reflect_weight``
+    along the node's word, vecs[0] and the companion vectors alike.
+    Returns the number of nodes compared."""
+    spec = SimpleNamespace(matrix=matrix)  # all reflect_weight reads
+    compared = 0
+    for layer in weyl.orbit_walk(matrix, max_length, start):
+        for word, vecs, _ in layer:
+            folded = []
+            for v in start:
+                for i in word:
+                    v = weyl.reflect_weight(spec, i, v)
+                folded.append(v)
+            assert vecs == tuple(folded), word
+            compared += 1
+    return compared
+
+
+def rho_and_simple_roots(matrix):
+    """(rho, alpha_1, ..., alpha_n) in weight coordinates, the start of
+    ``check_prop51``: alpha_i is column i of the matrix."""
+    return ((1,) * len(matrix), *zip(*matrix))
+
+
+def test_companions_fold_on_ff(ff_spec):
+    assert assert_companions_fold(
+        ff_spec.matrix, 12, rho_and_simple_roots(ff_spec.matrix)
+    ) == 338
+
+
+@pytest.mark.parametrize("gcm, max_length, nodes", [
+    ("rank7_spec", 8, 604), ("e10_spec", 6, 257),
+])
+def test_companions_fold_on_coset_starts(request, gcm, max_length, nodes):
+    # (tau, sigma) of check_rd for every finite-Levi maximal theta
+    spec = request.getfixturevalue(gcm)
+    assert sum(
+        assert_companions_fold(
+            spec.matrix, max_length, criteria._coset_start(spec, theta)[1]
+        )
+        for theta in maximal_thetas(spec)
+    ) == nodes
+
+
+@pytest.mark.parametrize("nodes, max_length, compared", [
+    (range(3, 11), 200, 239), (range(2, 11), 20, 69),
+])
+def test_companions_fold_on_e10_sub_diagrams(e10_spec, nodes, max_length,
+                                             compared):
+    # E10's nodes 3-10 are E8 (finite: the walk from the weight that is 1
+    # at node 3 ends after 239 nodes) and nodes 2-10 are E9 = E8^(1)
+    matrix = tuple(
+        tuple(e10_spec.matrix[i - 1][j - 1] for j in nodes) for i in nodes
+    )
+    start = ((1,) + (0,) * (len(matrix) - 1), *rho_and_simple_roots(matrix))
+    assert assert_companions_fold(matrix, max_length, start) == compared
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=gcms(), max_length=st.integers(min_value=0, max_value=5))
+def test_companions_fold_on_random_gcms(spec, max_length):
+    assert_companions_fold(
+        spec.matrix, max_length, rho_and_simple_roots(spec.matrix)
+    )
+    for theta in maximal_thetas(spec):
+        assert_companions_fold(
+            spec.matrix, max_length + 2, criteria._coset_start(spec, theta)[1]
+        )
 
 @settings(max_examples=40, deadline=None)
 @given(spec=gcms(), max_length=st.integers(min_value=0, max_value=6),
