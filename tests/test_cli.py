@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from kmrd import ff, load_gcm, rank2, weyl
+from kmrd import cli, ff, load_gcm, rank2, weyl
 from kmrd.cli import main
 from kmrd.weyl import CapExceeded
 
@@ -707,3 +709,103 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+# One parser per process: main builds it on its first call and every later
+# call parses with it, so no call may leave state behind for the next.
+
+def count_parsers(monkeypatch):
+    """A list that grows by one at each argparse.ArgumentParser built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, ff_path):
+    built = count_parsers(monkeypatch)
+    cli.build_parser.__wrapped__()
+    per_build = len(built)
+    cli.build_parser.cache_clear()
+    counts = []
+    for _ in range(3):
+        built.clear()
+        assert run_cli(capsys, "validate", ff_path)[0] == 0
+        counts.append(len(built))
+    assert counts == [per_build, 0, 0]
+
+
+# Prints how many parsers importing kmrd.cli builds.
+IMPORT_BUILDS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import kmrd.cli
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUILDS],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_verdict_options_do_not_carry_over(capsys, tmp_path, rank7_path):
+    report = tmp_path / "report.json"
+    argv = ["check", "rd", rank7_path, "--theta", "1,2,3,4,5,6",
+            "--max-length", "8"]
+    assert run_cli(capsys, *argv, "--report", str(report), "--assert")[0] == 1
+    report.unlink()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert not any(tmp_path.iterdir())
+
+
+def without_timing(text):
+    """Printed JSON with the digits of every ``wall_time_ms`` zeroed."""
+    return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
+
+
+@pytest.mark.parametrize("refused", [
+    ("ff", "verify"),
+    ("ff", "verify", "--max-length", "x"),
+    ("ff", "verify", "--max-length", "8", "--theta", "2,3"),
+    ("check", "bogus", "inputs/ff.json", "--max-length", "8"),
+    ("rank2",),
+])
+def test_refusal_leaves_the_parser_as_it_was(capsys, refused):
+    argv = ["ff", "verify", "--max-length", "8"]
+    code, alone, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as info:
+        main(list(refused))
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, after, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert without_timing(after) == without_timing(alone)
+
+
+def test_help_repeats(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--help"])
+        assert info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("usage: kmrd check")
+    assert texts[0] == texts[1]
