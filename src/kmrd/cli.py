@@ -100,18 +100,16 @@ def cmd_weyl(args):
     spec = load_gcm(args.path)
     theta = _parse_theta(args.theta) if _theta_given(args.theta) else ()
     make_parabolic(spec, theta)  # refuses a bad theta before the bound
-    payload = {
-        "name": spec.name,
-        "max_length": args.max_length,
-        "layer_sizes": weyl.growth_series(spec, args.max_length),
-    }
     # 0 on theta and 1 off it, so rho when no theta is given: the
     # stabiliser of this weight is W_theta
     weight = tuple(int(i not in theta) for i in range(1, spec.rank + 1))
-    layers = [[()]] + [
-        [word for word, _, _ in nodes]
-        for nodes in weyl.orbit_walk(spec.matrix, args.max_length, (weight,))
-    ]
+    sizes, walk = weyl.walk(spec, args.max_length, (weight,))
+    payload = {
+        "name": spec.name,
+        "max_length": args.max_length,
+        "layer_sizes": sizes,
+    }
+    layers = [[()]] + [[word for word, _, _ in nodes] for nodes in walk]
     words = [list(w) for layer in layers for w in layer]
     if theta:
         payload["theta"] = list(theta)

@@ -93,31 +93,31 @@ def _scan(check, spec, theta, max_length, all_witnesses, visit, start,
     """The bounded scan every decider runs.
 
     Calls ``visit(word, vecs, inherited, out)`` on each nontrivial node of
-    ``weyl.orbit_walk`` on spec.matrix from start, up to max_length in
-    ShortLex order.  visit appends the node's witnesses to ``out`` and
-    returns the node's state; ``inherited`` is its parent's (word less
-    the last letter), ``first`` for the identity.  Unless all_witnesses,
-    the scan stops at the first node that appends a witness and keeps
-    only the first witness it appended.
+    ``weyl.walk`` from start, up to max_length in ShortLex order.  visit
+    appends the node's witnesses to ``out`` and returns the node's state;
+    ``inherited`` is its parent's (word less the last letter), ``first``
+    for the identity.  Unless all_witnesses, the scan stops at the first
+    node that appends a witness and keeps only the first witness it
+    appended.
     The walk goes layer by layer, so only the parents' layer is kept, as a
     list in walk order: each node reads its parent's state at the parent
     position the walk gives it, with no word sliced or hashed.
-    ``stats`` holds ``elements_enumerated`` from ``weyl.ball_size``, the
-    one check of the element cap and of a negative bound, made first; then
-    the nodes visited under node_key, their lengths' sum under length_key,
-    both counted per layer, up to and including the node of an early stop.
+    ``stats`` holds ``elements_enumerated``, the sum of the layer sizes
+    that ``weyl.walk`` counts before it walks; then the nodes visited
+    under node_key, their lengths' sum under length_key, both counted per
+    layer, up to and including the node of an early stop.
     The lengths are roots_checked: check_rd checks each root of
     Phi_{w^-1} at the prefix that adds it and inherits it had it failed;
     in check_prop51, W is infinite (validate_gcm rejects finite type), so
     no w has every s_i as a left descent, and ascents is never empty.
     """
     t0 = time.monotonic()
-    stats = {"elements_enumerated": weyl.ball_size(spec, max_length)}
+    sizes, walk = weyl.walk(spec, max_length, start)
+    stats = {"elements_enumerated": sum(sizes)}
     nodes = letters = 0
     stop = not all_witnesses
     witnesses = []
     below = [first]
-    walk = weyl.orbit_walk(spec.matrix, max_length, start)
     for length, layer in enumerate(walk, 1):
         states = []
         for word, vecs, parent in layer:

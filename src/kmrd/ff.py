@@ -120,11 +120,6 @@ def ff_act(g, s):
     )
 
 
-def ff_bilinear(s, t):
-    """(S|T) = -s3 t1 + 2 s2 t2 - s1 t3."""
-    return -s.n3 * t.n1 + 2 * s.n2 * t.n2 - s.n1 * t.n3
-
-
 def is_positive_real_root_ff(s):
     """Arithmetic characterization: det = -1 plus the three positivity
     constraints on (n1, n2, n3)."""
@@ -134,26 +129,6 @@ def is_positive_real_root_ff(s):
         and s.n1 + s.n3 >= 0
         and s.n3 >= 0
     )
-
-
-def satisfies_phi_v_inequalities(v, s):
-    """The published necessary constraints for s in Phi_v."""
-    a, b, c, d = v.a, v.b, v.c, v.d
-    n1, n2, n3 = s.n1, s.n2, s.n3
-    lhs = (a * a + c * c) * n1 + 2 * (a * b + c * d) * n2 + (b * b + d * d) * n3
-    return (
-        c * c * n1 + 2 * c * d * n2 + d * d * n3 <= 0
-        and lhs <= 0
-        and lhs <= a * c * n1 + (a * d + b * c) * n2 + b * d * n3
-    )
-
-
-def phi_v_membership_ff(v, s):
-    """Authoritative Phi_v test: s is a positive real root sent negative
-    by v (the inequality system is only a necessary filter)."""
-    if not is_positive_real_root_ff(s):
-        return False
-    return is_positive_real_root_ff(-ff_act(v, s))
 
 
 def verify_lemma55(max_length):

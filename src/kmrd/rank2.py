@@ -223,8 +223,8 @@ def verify_prop52(a, b, max_n):
     statement for both root families up to max_n, resolve the published
     coefficient discrepancy by oracle, and cross-check with the bounded
     Property RD scan for both maximal parabolics at 2 max_n + 2, the
-    length of the families' words, a bound that ``weyl.ball_size`` refuses
-    before the scans if it is over the cap.
+    length of the families' words.  The RD scans run first, so a bound
+    over the element cap is refused before the O(max_n) family scans.
 
     The theta={2} parabolic is controlled by the (a, b) families against
     alpha_2; the theta={1} parabolic is the same statement with the two
@@ -235,13 +235,12 @@ def verify_prop52(a, b, max_n):
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     spec = rank2_spec(a, b)
     rd_max_length = 2 * max_n + 2
-    weyl.ball_size(spec, rd_max_length)
-    viol_2, match_2, display_matches = _family_scan(a, b, max_n)
-    viol_1, match_1, _ = _family_scan(b, a, max_n)
     rd = {
         "theta=[2]": criteria.check_rd(spec, (2,), rd_max_length).verdict,
         "theta=[1]": criteria.check_rd(spec, (1,), rd_max_length).verdict,
     }
+    viol_2, match_2, display_matches = _family_scan(a, b, max_n)
+    viol_1, match_1, _ = _family_scan(b, a, max_n)
     signs_ok = viol_2 is None and viol_1 is None
     closed_form_matches = match_2 and match_1
     rd_ok = all(v == criteria.HOLDS for v in rd.values())

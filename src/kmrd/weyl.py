@@ -17,9 +17,11 @@ a finite or affine one, which ``validate_gcm`` refuses.  Its
 nodes are (word, vecs, parent): the ShortLex-least word of w, the walked
 weights moved by w^-1, and the position of the node of word[:-1] in the
 previous layer, by which a caller hands each node its parent's state
-without slicing or hashing a word.  The ball is counted, layer by
-layer, from its growth series (``growth_series``), without a walk, and
-that count is the one check of the element cap.  One closure of the
+without slicing or hashing a word.  ``orbit_walk`` has no cap.  On a
+validated spec it is reached through ``walk``, the one counted walk,
+which first counts the Weyl ball layer by layer from its growth series
+(``growth_series``) without walking it: that count is the one check of
+the element cap, made before any layer is walked.  One closure of the
 simple roots under the reflections that raise the height, ``_closure``,
 gives both the positive real roots up to a height and the roots of each
 finite W_J of the growth series.
@@ -78,16 +80,6 @@ class WeylElem:
     @property
     def length(self):
         return len(self.word)
-
-
-def simple_reflection_matrix(spec, i):
-    """Matrix of s_i: column j is alpha_j - a_ij alpha_i."""
-    n = spec.rank
-    a = spec.matrix[i - 1]
-    return tuple(
-        tuple((1 if r == c else 0) - (a[c] if r == i - 1 else 0) for c in range(n))
-        for r in range(n)
-    )
 
 
 def reflect_simple(spec, i, v):
@@ -172,10 +164,10 @@ def orbit_walk(matrix, max_length, start):
 
     The walk reads nothing but the matrix, so it runs as well on a
     sub-diagram that ``validate_gcm`` refuses, such as the finite or
-    affine A_J of a Levi support J.  It has no element cap.  For a
-    validated spec, every orbit it walks lies inside the Weyl ball, which
-    ``growth_series`` counts before the walk starts; the orbit of a finite
-    sub-diagram bounds itself, as the walk ends at its first empty layer.
+    affine A_J of a Levi support J.  It has no element cap: on a
+    validated spec, ``walk`` is the counted entry to it.  The orbit of a
+    finite sub-diagram bounds itself, as the walk ends at its first empty
+    layer.
 
     Since <lambda, w(alpha_i)^vee> = (w^-1 lambda)_i, extending w by s_i
     goes up exactly when that coordinate of w^-1 start[0] is positive, and
@@ -232,16 +224,25 @@ def orbit_walk(matrix, max_length, start):
         yield layer
 
 
+def walk(spec, max_length, start):
+    """(sizes, layers): the Weyl ball's layer sizes from ``growth_series``
+    and the ``orbit_walk`` on spec.matrix from start.  It is the one
+    counted walk: every orbit walked on a validated spec lies inside the
+    ball, and ``growth_series`` refuses a bound past the element cap
+    before any layer is walked."""
+    sizes = growth_series(spec, max_length)
+    return sizes, orbit_walk(spec.matrix, max_length, start)
+
+
 def enumerate_by_length(spec, max_length):
     """All distinct elements of length <= max_length, as a list of layers,
-    each in ShortLex order: the walk on the orbit W.rho, after
-    ``growth_series`` has refused a bound past the element cap.  Both
+    each in ShortLex order: the ``walk`` on the orbit W.rho.  Both
     matrices step by the last letter from the parent's, the element of
     word[:-1] (ShortLex-least words are closed under prefixes), read from
     the previous layer at the node's parent position."""
-    growth_series(spec, max_length)
+    _, walked = walk(spec, max_length, (rho(spec),))
     layers = [[word_to_element(spec, ())]]
-    for nodes in orbit_walk(spec.matrix, max_length, (rho(spec),)):
+    for nodes in walked:
         parents = layers[-1]
         layer = []
         for word, (mu,), p in nodes:
@@ -255,17 +256,10 @@ def enumerate_by_length(spec, max_length):
     return layers
 
 
-def ball_size(spec, max_length):
-    """The number of elements of length <= max_length: the sum of
-    ``growth_series``, which refuses a bound past the element cap."""
-    return sum(growth_series(spec, max_length))
-
-
 def growth_series(spec, max_length):
     """The layer sizes [1, |W_1|, ..., |W_L|], L = max_length, of the
     Weyl ball, where W_k holds the elements of length k.  It is the one
-    check of the element cap, and every caller of ``orbit_walk`` on a
-    validated spec makes it first.
+    check of the element cap, which ``walk`` makes before it walks.
 
     Steinberg's formula (Humphreys, Reflection Groups and Coxeter Groups,
     5.12) gives, for infinite W, the growth series W(t) as the inverse of

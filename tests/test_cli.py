@@ -428,7 +428,7 @@ def test_cap_stats_abbreviated_past_32_layers(capsys, tmp_path, monkeypatch,
     path.write_text(json.dumps({"matrix": [[2, -2], [-3, 2]]}))
     monkeypatch.setenv("KMRD_MAX_ELEMENTS", str(cap))
     with pytest.raises(CapExceeded) as expected:
-        weyl.ball_size(load_gcm(path), 100)
+        sum(weyl.growth_series(load_gcm(path), 100))
     stats = expected.value.stats
     assert len(stats["layer_sizes"]) == layers
     code, out, err = run_cli(

@@ -14,14 +14,11 @@ from kmrd.ff import (
     W2,
     W3,
     ff_act,
-    ff_bilinear,
     ff_cartan_spec,
     ff_word_matrix,
     is_positive_real_root_ff,
-    phi_v_membership_ff,
     psi,
     psi_inv,
-    satisfies_phi_v_inequalities,
     verify_lemma55,
     verify_prop56,
 )
@@ -106,6 +103,11 @@ def test_equivariance_on_words_and_roots():
                 )
 
 
+def ff_bilinear(s, t):
+    """(S|T) = -s3 t1 + 2 s2 t2 - s1 t3."""
+    return -s.n3 * t.n1 + 2 * s.n2 * t.n2 - s.n1 * t.n3
+
+
 def test_bilinear_matches_cartan_form():
     spec = ff_cartan_spec()
     vecs = list(itertools.product(range(-2, 3), repeat=3))[:60]
@@ -123,6 +125,26 @@ def test_root_set_equality_to_height_20():
         if sum(v) <= 20 and is_positive_real_root_ff(psi(v))
     }
     assert by_orbit == by_arith
+
+
+def satisfies_phi_v_inequalities(v, s):
+    """The published necessary constraints for s in Phi_v."""
+    a, b, c, d = v.a, v.b, v.c, v.d
+    n1, n2, n3 = s.n1, s.n2, s.n3
+    lhs = (a * a + c * c) * n1 + 2 * (a * b + c * d) * n2 + (b * b + d * d) * n3
+    return (
+        c * c * n1 + 2 * c * d * n2 + d * d * n3 <= 0
+        and lhs <= 0
+        and lhs <= a * c * n1 + (a * d + b * c) * n2 + b * d * n3
+    )
+
+
+def phi_v_membership_ff(v, s):
+    """Authoritative Phi_v test: s is a positive real root sent negative
+    by v (the inequality system is only a necessary filter)."""
+    if not is_positive_real_root_ff(s):
+        return False
+    return is_positive_real_root_ff(-ff_act(v, s))
 
 
 def test_membership_implies_inequalities():

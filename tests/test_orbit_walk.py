@@ -215,12 +215,12 @@ def test_cap_matches_reference(ff_spec, rank7_spec, cap, monkeypatch):
         assert got.value.stats == expected.value.stats
         assert str(got.value) == str(expected.value)
         with pytest.raises(weyl.CapExceeded) as counted:
-            weyl.ball_size(spec, 6)
+            sum(weyl.growth_series(spec, 6))
         with pytest.raises(weyl.CapExceeded) as series:
             weyl.growth_series(spec, 6)
         # nothing is counted past the identity at max_length 0
         assert len(ref.enumerate_by_length(spec, 0, max_elements=cap)) == 1
-        assert weyl.ball_size(spec, 0) == 1
+        assert sum(weyl.growth_series(spec, 0)) == 1
         monkeypatch.delenv("KMRD_MAX_ELEMENTS")
         for refused in (counted, series):
             assert refused.value.stats == expected.value.stats
@@ -243,16 +243,41 @@ def test_enumerate_by_length_refuses_the_cap_before_walking(ff_spec,
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("check, theta", [
+    (criteria.check_rd, ((2, 3),)),
+    (criteria.check_lemma44, ((2, 3),)),
+    (criteria.check_prop51, ()),
+    (criteria.check_property25, ()),
+], ids=["rd", "lemma44", "prop51", "conj"])
+def test_checks_refuse_the_cap_before_walking(ff_spec, monkeypatch, check,
+                                              theta):
+    """Each check kind counts the ball before it walks a layer, so a
+    bound past the cap is refused with the reference's CapExceeded while
+    the walk is forbidden."""
+    with pytest.raises(weyl.CapExceeded) as expected:
+        ref.enumerate_by_length(ff_spec, 6, max_elements=52)
+
+    def no_walk(*args):
+        raise AssertionError("walked a bound past the cap")
+
+    monkeypatch.setattr(weyl, "orbit_walk", no_walk)
+    monkeypatch.setenv("KMRD_MAX_ELEMENTS", "52")
+    with pytest.raises(weyl.CapExceeded) as got:
+        check(ff_spec, *theta, 6)
+    assert got.value.stats == expected.value.stats
+    assert str(got.value) == str(expected.value)
+
+
 def test_ball_size_memo_never_keeps_the_cap(ff_spec, rank7_spec,
                                             monkeypatch):
     weyl._recurrence.cache_clear()
-    assert weyl.ball_size(ff_spec, 12) == 339
+    assert sum(weyl.growth_series(ff_spec, 12)) == 339
     monkeypatch.setenv("KMRD_MAX_ELEMENTS", "338")
     with pytest.raises(weyl.CapExceeded):
-        weyl.ball_size(ff_spec, 12)
+        sum(weyl.growth_series(ff_spec, 12))
     monkeypatch.delenv("KMRD_MAX_ELEMENTS")
     for spec, size in ((ff_spec, 339), (rank7_spec, 51332), (ff_spec, 339)):
-        assert weyl.ball_size(spec, 12) == size
+        assert sum(weyl.growth_series(spec, 12)) == size
     # a miss for the first ff, rank7 and the ff after it
     assert weyl._recurrence.cache_info().misses == 3
 
@@ -260,7 +285,9 @@ def test_ball_size_memo_never_keeps_the_cap(ff_spec, rank7_spec,
 def test_ball_size_counts_the_ball(ff_spec, rank7_spec):
     for spec, max_length in ((ff_spec, 12), (rank7_spec, 6)):
         layers = ref.enumerate_by_length(spec, max_length)
-        assert weyl.ball_size(spec, max_length) == sum(len(l) for l in layers)
+        assert sum(weyl.growth_series(spec, max_length)) == sum(
+            len(l) for l in layers
+        )
 
 
 def test_walk_deciders_build_no_matrix(ff_spec, rank7_spec, monkeypatch):
@@ -285,11 +312,11 @@ def test_walk_deciders_build_no_matrix(ff_spec, rank7_spec, monkeypatch):
 
 def walk_sizes(spec, max_length, cap=None):
     """The ball's layer sizes recounted on the walk from rho, once
-    ``ball_size`` has passed the bound under cap (by default the element
-    cap already set)."""
+    ``growth_series`` has passed the bound under cap (by default the
+    element cap already set)."""
     env = {"KMRD_MAX_ELEMENTS": str(cap)} if cap else {}
     with mock.patch.dict(os.environ, env):
-        weyl.ball_size(spec, max_length)
+        sum(weyl.growth_series(spec, max_length))
     return [1] + [
         len(layer) for layer in
         weyl.orbit_walk(spec.matrix, max_length, (weyl.rho(spec),))
@@ -304,7 +331,7 @@ def test_growth_series_matches_walk(ff_spec, rank7_spec):
     ):
         sizes = weyl.growth_series(spec, max_length)
         assert sizes == walk_sizes(spec, max_length)
-        assert weyl.ball_size(spec, max_length) == sum(sizes) == total
+        assert sum(weyl.growth_series(spec, max_length)) == sum(sizes) == total
 
 
 def test_growth_series_rank2_is_infinite_dihedral():
@@ -369,7 +396,7 @@ def test_growth_series_matches_walk_on_random_gcms(spec, max_length):
 def test_negative_bounds_rejected(ff_spec):
     for run in (
         lambda: weyl.growth_series(ff_spec, -1),
-        lambda: weyl.ball_size(ff_spec, -1),
+        lambda: sum(weyl.growth_series(ff_spec, -1)),
         lambda: list(weyl.orbit_walk(ff_spec.matrix, -1, (weyl.rho(ff_spec),))),
         lambda: criteria.check_prop51(ff_spec, -1),
         lambda: criteria.check_rd(ff_spec, (2, 3), -2),
@@ -422,7 +449,7 @@ def test_ball_deciders_walk_once(ff_spec, monkeypatch):
     monkeypatch.setattr(weyl, "orbit_walk", counted)
     criteria.check_prop51(ff_spec, 8, all_witnesses=True)
     criteria.check_property25(ff_spec, 8, all_witnesses=True)
-    weyl.ball_size(ff_spec, 8)
+    sum(weyl.growth_series(ff_spec, 8))
     assert len(starts) == 2
 
 

@@ -19,12 +19,11 @@ from kmrd.gcm import GCMError
 from kmrd.linalg import identity
 from kmrd.weyl import (
     DEFAULT_MAX_ELEMENTS,
-    ball_size,
     element_cap,
+    growth_series,
     in_min_coset_reps,
     inversion_set_of_word,
     is_positive_vec,
-    simple_reflection_matrix,
 )
 from test_differential import gcms
 
@@ -62,6 +61,16 @@ def test_braid_relation_order_three(ff_spec):
     left = word_to_element(ff_spec, (2, 3, 2))
     right = word_to_element(ff_spec, (3, 2, 3))
     assert left.matrix == right.matrix
+
+
+def simple_reflection_matrix(spec, i):
+    """Matrix of s_i: column j is alpha_j - a_ij alpha_i."""
+    n = spec.rank
+    a = spec.matrix[i - 1]
+    return tuple(
+        tuple((1 if r == c else 0) - (a[c] if r == i - 1 else 0) for c in range(n))
+        for r in range(n)
+    )
 
 
 def test_matrix_matches_reflection_product(ff_spec):
@@ -200,7 +209,7 @@ def test_element_cap_env(ff_spec, monkeypatch):
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
 def test_element_cap_refuses_non_positive(ff_spec, monkeypatch, value):
     monkeypatch.setenv("KMRD_MAX_ELEMENTS", value)
-    for call in (element_cap, lambda: ball_size(ff_spec, 0)):
+    for call in (element_cap, lambda: sum(growth_series(ff_spec, 0))):
         with pytest.raises(GCMError, match="KMRD_MAX_ELEMENTS"):
             call()
 
