@@ -16,10 +16,11 @@ from .gcm import (
     NotFiniteTypeLevi,
     NotMaximal,
     _check_theta,
+    bilinear_form,
     is_finite_type,
     make_parabolic,
     matrix_hash,
-    pair_with_coroot,
+    scaled_rho_M,
 )
 
 FAILED = "FAILED_WITH_WITNESS"
@@ -172,9 +173,16 @@ def _coset_start(spec, theta, shift=0):
 
 def _replayed_root(spec, prefix, pairings):
     """The root that prefix's last letter adds to Phi_{w^-1}, replayed in
-    root coordinates from the word alone.  Each (weight, pairing) of
-    ``pairings`` is what the walk gave; the first that the root's
-    ``pair_with_coroot`` contradicts is an internal error, not a witness.
+    root coordinates from the word alone, with every claim of
+    ``pairings`` checked against it in int.
+
+    A claim (lam, den, value, scale), all integer, says
+    <lam / den, root^vee> = value / scale, lam in root coordinates; it is
+    what the walk gave.  A is symmetrizable, so
+    <lam, root^vee> = 2 (lam|root) / (root|root), and the claim holds
+    exactly when 2 (lam|root) scale = value den (root|root), both forms
+    read off ``spec.gram``.  The first claim that fails is an internal
+    error, not a witness.
 
     For prefix (i_1, ..., i_k) that root is s_{i_1} ... s_{i_(k-1)}
     alpha_{i_k}, the last member of ``inversion_set_of_word`` of the
@@ -182,11 +190,13 @@ def _replayed_root(spec, prefix, pairings):
     root = spec.simple_root(prefix[-1])
     for i in reversed(prefix[:-1]):
         root = weyl.reflect_simple(spec, i, root)
-    for lam, pairing in pairings:
-        if pair_with_coroot(spec, lam, root) != pairing:
+    norm = bilinear_form(spec, root, root)
+    for lam, den, value, scale in pairings:
+        if 2 * bilinear_form(spec, lam, root) * scale != value * den * norm:
             raise GCMError(
-                f"internal invariant violated: the pairing of {lam} with the "
-                f"root {root} of word {prefix} disagrees with the orbit walk"
+                f"internal invariant violated: the pairing of {lam}/{den} "
+                f"with the root {root} of word {prefix} disagrees with the "
+                "orbit walk"
             )
     return root
 
@@ -198,29 +208,37 @@ def check_rd(spec, theta, max_length, all_witnesses=False):
 
     Runs on the orbit walk: the inversion roots of w^-1 are the roots its
     word prefixes add, each checked once at the prefix that adds it, with
-    both pairings read off the scaled integer weight coordinates.  The
-    parabolic data is built only at the first witness, whose replayed root
-    checks both pairings against it."""
+    both pairings read off the scaled integer weight coordinates.  Each
+    witness root is replayed from its word and both pairings re-checked in
+    int against weights built at the first witness, in root coordinates:
+    rho_M from ``scaled_rho_M``'s solve on A_theta, which does not use the
+    row of adj A that ``_coset_start`` reads, and omega_P from column p of
+    adj A over det A.  No parabolic data is built."""
     theta = _require_maximal(spec, theta)
     if not is_finite_type(spec, theta):
         raise NotFiniteTypeLevi(f"theta {theta} has non-finite Weyl group")
     scale, start = _coset_start(spec, theta)
-    par = None
+    weights = None  # ((rho_M, den), (omega_P, den)), from the first witness
     least = None  # (num, den) of the least ratio -rho/omega so far
 
     def visit(word, vecs, bad, out):  # bad: the parent's failing roots
-        nonlocal least, par
+        nonlocal least, weights
         tau, sigma = vecs
         i = word[-1] - 1
         omega, rho = -tau[i], -sigma[i]
         if rho >= 0:
-            if par is None:
-                par = make_parabolic(spec, theta)
-            pairs = (Fraction(rho, scale), Fraction(omega, scale))
-            root = _replayed_root(
-                spec, word, zip((par.rho_M, par.omega_P), pairs)
-            )
-            bad += ((root, pairs),)
+            if weights is None:
+                p = start[0].index(scale)  # tau is scale omega_P, 0 off p
+                weights = (
+                    scaled_rho_M(spec, theta),
+                    (tuple(row[p] for row in spec.adjugate), spec.det),
+                )
+            (rho_m, rho_den), (omega_p, omega_den) = weights
+            root = _replayed_root(spec, word, (
+                (rho_m, rho_den, rho, scale),
+                (omega_p, omega_den, omega, scale),
+            ))
+            bad += ((root, (Fraction(rho, scale), Fraction(omega, scale))),)
         elif least is None or -rho * least[1] < least[0] * omega:
             least = (-rho, omega)
         for root, (rho_pair, omega_pair) in bad:
@@ -280,7 +298,8 @@ def check_prop51(spec, max_length, all_witnesses=False):
         new = [(i, -vecs[1 + i][j]) for i in ascents if vecs[1 + i][j] < 0]
         if new:
             root = _replayed_root(
-                spec, word, [(spec.simple_root(i + 1), p) for i, p in new]
+                spec, word,
+                [(spec.simple_root(i + 1), 1, p, 1) for i, p in new],
             )
             bad += tuple((root, i, p) for i, p in new)
         for root, i, pairing in bad:

@@ -241,23 +241,31 @@ class ParabolicSpec(namedtuple(
     __slots__ = ()
 
 
+def scaled_rho_M(spec, theta):
+    """(r, d) with rho_M = r / d in root coordinates, for theta sorted and
+    of finite type: d = det A_theta, positive, and r the integer solution
+    of A_theta r = d (1, ..., 1) on theta, 0 off it.  One fraction-free
+    ``linalg.solve`` with the all-ones column, no adjugate."""
+    sub = tuple(tuple(spec.matrix[i - 1][j - 1] for j in theta) for i in theta)
+    cols, det_m = linalg.solve(sub, ((1,),) * len(theta))
+    num = [0] * spec.rank
+    for (x,), i in zip(cols, theta):
+        num[i - 1] = x
+    return tuple(num), det_m
+
+
 def make_parabolic(spec, theta):
     """Assemble the parabolic data for a finite-type theta.
 
-    rho_M solves sub x = (1, ..., 1) on theta, sub the theta block of A,
-    so x_i = num_i / det(sub) with num the row sums of adj(sub); it is 0
-    off theta.  rho_P = rho - rho_M is built from the row sums r of adj A
-    as (r_i det(sub) - num_i det A) / (det A det(sub)).  All of it is
+    rho_M is ``scaled_rho_M``'s r / det(A_theta).  rho_P = rho - rho_M is
+    built from the row sums s of adj A as
+    (s_i det(A_theta) - r_i det A) / (det A det(A_theta)).  All of it is
     integer; each entry becomes one Fraction."""
     idx = tuple(sorted(theta))
     _check_theta(spec, idx)
     if not is_finite_type(spec, idx):
         raise NotFiniteTypeLevi(f"theta {idx} has non-finite Weyl group")
-    sub = tuple(tuple(spec.matrix[i - 1][j - 1] for j in idx) for i in idx)
-    adj, det_m = linalg.adjugate(sub)
-    num = [0] * spec.rank
-    for row, i in zip(adj, idx):
-        num[i - 1] = sum(row)
+    num, det_m = scaled_rho_M(spec, idx)
     rho_m = tuple(Fraction(x, det_m) for x in num)
     i_p = omega_p = rho_p = None
     if len(idx) == spec.rank - 1:

@@ -23,7 +23,7 @@ from kmrd import (
 )
 from kmrd import criteria, survey, weyl
 from kmrd.criteria import _coset_start, _scan, admissible_d
-from kmrd.gcm import NoAdmissibleD, is_finite_type, matrix_hash
+from kmrd.gcm import NoAdmissibleD, is_finite_type, matrix_hash, scaled_rho_M
 from test_differential import gcms, report_body
 
 
@@ -112,17 +112,22 @@ def test_rd_early_stop_vs_all_witnesses(rank7_spec):
 
 def test_rd_rank7_all_witnesses_at_length_12(rank7_spec, monkeypatch):
     # Measured before the scan driver took over the inherited failing
-    # roots; they must not move.  The parabolic data that the witness
-    # replays check against is built once, at the first witness.
-    built = []
+    # roots; they must not move.  The witness replays re-check their
+    # pairings in int against a rho_M solved once, at the first witness,
+    # and never build the parabolic data.
+    solved = []
 
     def counted(*args):
-        built.append(args)
-        return make_parabolic(*args)
+        solved.append(args)
+        return scaled_rho_M(*args)
 
-    monkeypatch.setattr(criteria, "make_parabolic", counted)
+    def refuse(*args):
+        raise AssertionError("make_parabolic was called")
+
+    monkeypatch.setattr(criteria, "scaled_rho_M", counted)
+    monkeypatch.setattr(criteria, "make_parabolic", refuse)
     report = check_rd(rank7_spec, tuple(range(1, 7)), 12, all_witnesses=True)
-    assert len(built) == 1
+    assert len(solved) == 1
     assert len(report.witnesses) == 281
     assert report.stats == {
         "elements_enumerated": 51332, "coset_reps": 1020,

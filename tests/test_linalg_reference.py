@@ -69,6 +69,61 @@ def test_random_matrices_match_reference(a):
     assert_matches_reference(a)
 
 
+@st.composite
+def systems(draw):
+    """(A, B): A from int_matrices, B with as many rows and 0-3 columns,
+    entries -5..5."""
+    a = draw(int_matrices())
+    width = draw(st.integers(0, 3))
+    return a, tuple(
+        tuple(draw(st.integers(-5, 5)) for _ in range(width)) for _ in a
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=systems())
+def test_solve_matches_reference(system):
+    """solve(A, B) is (adj A B, det A), adj A = det A mat_inv(A), in ints;
+    (None, 0) exactly when A is singular."""
+    a, b = system
+    got = linalg.solve(a, b)
+    det = ref.mat_det(a)
+    inverse = ref.mat_inv(a)
+    if inverse is None:
+        assert got == (None, 0)
+        return
+    adj = [[det * x for x in row] for row in inverse]
+    want = tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(len(a)))
+              for j in range(len(b[0])))
+        for row in adj
+    )
+    assert got == (want, det)
+    assert type(got[1]) is int and all_ints(got[0])
+
+
+def test_scaled_rho_m_matches_reference(ff_spec, rank7_spec, e10_spec):
+    """scaled_rho_M's (r, d) is the reference's rho_M over d = det A_theta
+    for every finite-type proper theta of ff, rank7 and E10, and
+    make_parabolic, which reads it, equals reference_gcm's."""
+    checked = 0
+    for spec in (ff_spec, rank7_spec, e10_spec):
+        n = spec.rank
+        for size in range(1, n):
+            for theta in itertools.combinations(range(1, n + 1), size):
+                if not is_finite_type(spec, theta):
+                    continue
+                r, d = gcm.scaled_rho_M(spec, theta)
+                sub = [[spec.matrix[i - 1][j - 1] for j in theta]
+                       for i in theta]
+                want = reference_gcm.make_parabolic(spec, theta)
+                assert d == ref.mat_det(sub) > 0
+                assert tuple(Fraction(x, d) for x in r) == want.rho_M
+                assert make_parabolic(spec, theta) == want
+                checked += 1
+    assert checked == 1151
+
+
 def test_fixed_cases(ff_spec):
     swap = ((0, 1), (1, 0))  # needs a row swap at the first pivot
     assert linalg.adjugate(swap) == (((0, -1), (-1, 0)), -1)

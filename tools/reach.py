@@ -11,7 +11,7 @@ child's own peak RSS (``ru_maxrss`` from ``os.wait4``), the verdict,
 taken over
 ``json.dumps(report, sort_keys=True)`` as ``.github/report_digest.py``
 takes it.  It then records the largest L at which E10 with node 2 left out
-finishes within BUDGET_S seconds.
+finishes within BUDGET_S seconds, with every probe of that search.
 
 kmrd is run from ``src/`` beside this directory.  With ``--against TREE``
 the same runs are made on ``TREE/src`` as well, the two sides alternating
@@ -122,17 +122,24 @@ def measure(done):
 
 
 def largest_within_budget(src):
-    """(L, its run) for the largest L at which E10 with node 2 left out
-    finishes within BUDGET_S seconds, or (None, None) when SEARCH_START
-    does not."""
+    """(L, its run, probes) for the largest L at which E10 with node 2 left
+    out finishes within BUDGET_S seconds, or (None, None, probes) when
+    SEARCH_START does not.  probes lists every run of the search in order,
+    as its L, wall time and whether it finished within the budget."""
     best = (None, None)
+    probes = []
     length, stride = SEARCH_START, SEARCH_STRIDE
     while True:
+        t0 = time.perf_counter()
         done = run_child(src, *E10_NODE2_OUT, length, BUDGET_S)
-        if done is not None and done[1] <= BUDGET_S:
+        wall = time.perf_counter() - t0 if done is None else done[1]
+        finished = done is not None and wall <= BUDGET_S
+        probes.append({"max_length": length, "wall_s": round(wall, 4),
+                       "finished": finished})
+        if finished:
             best = (length, measure(done))
         elif stride == 1 or best[0] is None:
-            return best
+            return (*best, probes)
         else:
             length, stride = best[0], 1
         length += stride
@@ -180,8 +187,8 @@ def reach(sides):
         })
     search = {}
     for label, src in sides:
-        length, run = largest_within_budget(src)
-        search[label] = {"max_length": length, "run": run}
+        length, run, probes = largest_within_budget(src)
+        search[label] = {"max_length": length, "run": run, "probes": probes}
         print(f"reach: e10_node2_out within {BUDGET_S} s, {label}: "
               f"L={length}", file=sys.stderr)
     return results, search, agree
